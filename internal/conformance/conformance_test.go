@@ -51,9 +51,12 @@ type scenario struct {
 	strictQuorum bool
 	// batch > 1 drives the load phase through batched MGet/MPut client ops
 	// (grouped per coordinator, one frame per node) instead of single-key
-	// ops. Staleness and latency are still recorded per key, and on
-	// WARS-injected clusters the coordinator decomposes batches into
-	// concurrent per-key operations, so the same conformance bounds apply.
+	// ops. The coordinator sends one multi-key leg per replica, which takes
+	// one WARS draw for all of its keys, so each key's marginal latency is
+	// still the WARS order statistic and the same conformance bounds apply.
+	// Keys of one batch share draws, so the cell drives latencyPhaseOps
+	// batches and sizes its quantile set by batch count (independent
+	// draws), not by key count.
 	batch int
 }
 
@@ -243,11 +246,14 @@ func TestBinaryClientConformance(t *testing.T) {
 // TestBatchedClientConformance re-runs a cross-section of the matrix with
 // the load phase issuing batched multi-key MGet/MPut frames (batch 8)
 // over the binary protocol: one validation-tier scenario and the
-// strict-quorum cell. On these WARS-injected clusters the coordinator's
-// batch entry point decomposes into concurrent per-key operations — the
-// same injected legs, the same per-key latency semantics — so measured
-// t-visibility must stay inside the same RMSE band, and the strict-quorum
-// cell must still read zero staleness through the batch path.
+// strict-quorum cell. Coordinators serve these batches exactly as in
+// production — one multi-key leg per replica through the worker fan-out,
+// one injected WARS draw per leg — so this validates the batch legs
+// against the model. Each cell drives as many batches as its single-key
+// twin drives operations and asserts the twin's quantile set on them;
+// measured t-visibility must stay inside the same RMSE band, and the
+// strict-quorum cell must still read zero staleness through the batch
+// path.
 func TestBatchedClientConformance(t *testing.T) {
 	readOv, writeOv := calibrate(t, client.DialBinary)
 	picked := map[string]bool{
@@ -297,10 +303,13 @@ func runScenario(t *testing.T, sc scenario, dial func(string) (*client.Client, e
 
 	// Phase 1 — mixed workload at the scenario's read/write mix, low client
 	// concurrency so measured quantiles reflect the injected delays rather
-	// than client-side queueing.
+	// than client-side queueing. A batch's keys share leg draws, so a
+	// batched cell drives latencyPhaseOps batches of perDraw keys and sizes
+	// its quantile set by batch count below.
+	perDraw := max(1, sc.batch)
 	mon := client.NewMonitor()
 	lr, err := client.RunLoad(c, mon, client.LoadOptions{
-		Clients: loadClients, MaxOps: latencyPhaseOps,
+		Clients: loadClients, MaxOps: int64(latencyPhaseOps * perDraw),
 		Keys: workload.NewZipfKeys(256, 0.99, "lg"),
 		Mix:  workload.NewMix(sc.mix), Seed: 3,
 		BatchSize: sc.batch,
@@ -339,8 +348,8 @@ func runScenario(t *testing.T, sc scenario, dial func(string) (*client.Client, e
 	// Latency conformance: measured coordinator quantiles vs predictions
 	// composed with the calibrated harness overhead.
 	obsRead, obsWrite := mon.CoordLatencies()
-	rqs := adaptiveQs(len(obsRead))
-	wqs := adaptiveQs(len(obsWrite))
+	rqs := adaptiveQs(len(obsRead) / perDraw)
+	wqs := adaptiveQs(len(obsWrite) / perDraw)
 	or := stats.Quantiles(obsRead, rqs)
 	ow := stats.Quantiles(obsWrite, wqs)
 	pr := convolveQuantiles(pred.ReadLatencies(), readOv, rqs, 11)

@@ -3,15 +3,15 @@ package server
 // Batched multi-key coordination. A batch decomposes into the same per-key
 // quorum operations the paper analyzes — each key keeps its own preference
 // list, quorum accounting, and typed verdict — but the fan-out is amortized:
-// on the strict-quorum hot path the coordinator groups every key's legs by
-// destination peer and sends ONE multi-key RPC per peer per batch
-// (ApplyBatch / GetVersionBatch), so a 64-key batch on a 3-replica cluster
-// costs 3 frames instead of 192. Off the hot path (WARS injection, blocking
-// transport, sloppy quorums) the batch decomposes into concurrent
-// single-key coordinations, preserving per-key latency semantics — under an
-// injected model a batched op is indistinguishable from its single-key
-// twin, which is what keeps the conformance RMSE band closed by
-// construction.
+// the coordinator groups every key's legs by destination peer and sends ONE
+// multi-key RPC per peer per batch (ApplyBatch / GetVersionBatch), so a
+// 64-key batch on a 3-replica cluster costs 3 frames instead of 192. A
+// batch leg is one frame, so under an injected WARS model it takes one
+// delay draw per peer per batch, as a network delays one message; each
+// key's marginal latency and visibility are still the WARS order
+// statistics. In sloppy mode a batch leg carries each key's spare picker,
+// and a key whose replica is down or whose frame failed walks its spares
+// exactly like a single-key leg.
 
 import (
 	"net/http"
@@ -27,9 +27,9 @@ import (
 // maxBatchOps bounds one client batch (both frames and the HTTP shim).
 const maxBatchOps = 4096
 
-// batchFallbackConcurrency bounds the concurrent per-key coordinations on
-// the decomposed path. Wide enough to overlap injected WARS sleeps for a
-// full batch tranche, narrow enough not to stampede the transport.
+// batchFallbackConcurrency bounds the concurrent single-key routings of
+// an MPut's mis-grouped keys — keys another node coordinates (the client
+// raced a ring change), which take the forwarding path one by one.
 const batchFallbackConcurrency = 32
 
 // BatchPutOp is one write inside a batched client operation.
@@ -52,14 +52,6 @@ type batchGetOut struct {
 	oe *opError
 }
 
-// batchHotPath reports whether batched ops may use grouped multi-key peer
-// legs. Mirrors the single-key hot-path gate plus sloppy quorums: spare
-// walks substitute legs per key mid-flight, which grouped frames cannot
-// express, so sloppy mode decomposes.
-func (n *Node) batchHotPath() bool {
-	return n.inj == nil && !n.params.BlockingTransport && !n.params.SloppyQuorum
-}
-
 // forEachIndex runs fn(i) for every index in idxs on a bounded worker
 // group and waits for all of them.
 func forEachIndex(idxs []int, fn func(i int)) {
@@ -70,10 +62,7 @@ func forEachIndex(idxs []int, fn func(i int)) {
 		fn(idxs[0])
 		return
 	}
-	workers := batchFallbackConcurrency
-	if workers > len(idxs) {
-		workers = len(idxs)
-	}
+	workers := min(batchFallbackConcurrency, len(idxs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -120,12 +109,6 @@ func (n *Node) coordinateMGet(keys []string) []batchGetOut {
 		}
 		todo = append(todo, i)
 	}
-	if !n.batchHotPath() {
-		forEachIndex(todo, func(i int) {
-			outs[i].gr, outs[i].oe = n.coordinateGetOp(keys[i])
-		})
-		return outs
-	}
 	v := n.view()
 	if v == nil {
 		oe := errUnavailable("server: node has no membership yet")
@@ -141,51 +124,26 @@ func (n *Node) coordinateMGet(keys []string) []batchGetOut {
 	var legs []*legTask
 	for _, i := range todo {
 		prefs := n.prefs(v, keys[i])
-		q := quorumR
-		if q > len(prefs) {
-			q = len(prefs)
-		}
-		rs := n.newReadState(v, q, len(prefs))
+		rs := n.newReadState(v, min(quorumR, len(prefs)), len(prefs))
 		rss[i] = rs
+		spares := n.sparePicker(v, keys[i])
 		for _, id := range prefs {
 			t := batchLegFor(&legs, n, v, id, true)
 			t.bkeys = append(t.bkeys, keys[i])
 			t.brs = append(t.brs, rs)
+			if spares != nil {
+				t.bspares = append(t.bspares, spares)
+			}
 		}
 	}
 	for _, t := range legs {
-		n.submitLeg(t.target, t)
+		n.submitLeg(t)
 	}
 	// Harvest verdicts in input order. The waits overlap (every leg is
-	// already in flight), so the walk costs the slowest key, not the sum.
+	// already in flight), so the walk costs the slowest key, not the sum,
+	// and each key's CoordMs is its own quorum time.
 	for _, i := range todo {
-		rs := rss[i]
-		<-rs.waiter
-		best, found, ok, finalizeNow := rs.answer()
-		if !ok {
-			n.failedOps.Add(1)
-			outs[i].oe = errQuorumFailed("server: read quorum not reached")
-			rs.release()
-			continue
-		}
-		outs[i].gr = GetResponse{
-			Found:   found && !best.Tombstone,
-			Seq:     best.Seq,
-			Value:   best.Value,
-			CoordMs: float64(time.Since(start)) / float64(time.Millisecond),
-			Node:    n.id,
-		}
-		if finalizeNow {
-			if n.params.ReadRepair {
-				go func(rs *readState) {
-					rs.finalize()
-					rs.release()
-				}(rs)
-			} else {
-				rs.finalize()
-				rs.release()
-			}
-		}
+		outs[i].gr, outs[i].oe = n.awaitRead(rss[i], start)
 	}
 	return outs
 }
@@ -213,12 +171,6 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 		}
 		todo = append(todo, i)
 	}
-	if !n.batchHotPath() {
-		forEachIndex(todo, func(i int) {
-			outs[i].pr, outs[i].oe = n.routeWriteOp(ops[i].Key, ops[i].Value, ops[i].Tombstone, false)
-		})
-		return outs
-	}
 	v := n.view()
 	if v == nil {
 		oe := errUnavailable("server: node has no membership yet")
@@ -244,7 +196,7 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 		go func() {
 			defer remoteWG.Done()
 			forEachIndex(remote, func(i int) {
-				outs[i].pr, outs[i].oe = n.routeWriteOp(ops[i].Key, ops[i].Value, ops[i].Tombstone, false)
+				outs[i].pr, outs[i].oe = n.routeWriteOp(ops[i].Key, ops[i].Value, ops[i].Tombstone, 0)
 			})
 		}()
 	}
@@ -263,37 +215,24 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 			Clock:     vclock.VC{n.id: n.clockTicks.Add(1)},
 		}
 		prefs := n.prefs(v, ops[i].Key)
-		q := quorumW
-		if q > len(prefs) {
-			q = len(prefs)
-		}
-		ws := newWriteState(q, len(prefs))
+		ws := newWriteState(min(quorumW, len(prefs)), len(prefs))
 		wss[i] = ws
 		outs[i].pr.Seq = seq
+		spares := n.sparePicker(v, ops[i].Key)
 		for _, id := range prefs {
 			t := batchLegFor(&legs, n, v, id, false)
 			t.bvers = append(t.bvers, ver)
 			t.bws = append(t.bws, ws)
+			if spares != nil {
+				t.bspares = append(t.bspares, spares)
+			}
 		}
 	}
 	for _, t := range legs {
-		n.submitLeg(t.target, t)
+		n.submitLeg(t)
 	}
 	for _, i := range local {
-		ws := wss[i]
-		<-ws.waiter
-		if !ws.finish() {
-			n.failedOps.Add(1)
-			outs[i] = batchPutOut{oe: errQuorumFailed("server: write quorum not reached")}
-			continue
-		}
-		committed := time.Now()
-		outs[i].pr = PutResponse{
-			Seq:               outs[i].pr.Seq,
-			CommittedUnixNano: committed.UnixNano(),
-			CoordMs:           float64(committed.Sub(start)) / float64(time.Millisecond),
-			Node:              n.id,
-		}
+		outs[i].pr, outs[i].oe = n.awaitWrite(wss[i], outs[i].pr.Seq, start)
 	}
 	remoteWG.Wait()
 	return outs

@@ -176,6 +176,45 @@ func httpPutErr(base, key, value string) (PutResponse, error) {
 	return pr, nil
 }
 
+// TestForwardedUnderOlderRingReroutes: a write forwarded under a
+// superseded ring epoch — its forwarder had not yet seen a ring flip — is
+// proxied on to the primary of the receiver's newer ring instead of
+// failing as a forwarding loop, while a write forwarded under the
+// receiver's own epoch still refuses a second hop.
+func TestForwardedUnderOlderRingReroutes(t *testing.T) {
+	c, err := StartLocal(3, Params{N: 3, R: 2, W: 2, Seed: 19})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.AddNode(); err != nil {
+		t.Fatal(err)
+	}
+	n := c.Nodes[0]
+	v := n.awaitEpoch(2, 5*time.Second)
+	epoch := v.m.Epoch()
+	if epoch < 2 {
+		t.Fatalf("node 0 still at ring epoch %d after a join", epoch)
+	}
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("fwd-%d", i); v.m.Coordinator(k) != n.id {
+			key = k
+		}
+	}
+
+	pr, oe := n.routeWriteOp(key, "v", false, epoch-1)
+	if oe != nil {
+		t.Fatalf("write forwarded under epoch %d at a node on epoch %d: %s", epoch-1, epoch, oe.msg)
+	}
+	if want := v.m.Coordinator(key); pr.Node != want {
+		t.Fatalf("rerouted write coordinated by node %d, want primary %d", pr.Node, want)
+	}
+	if _, oe := n.routeWriteOp(key, "v", false, epoch); oe == nil || oe.code != CodeInternal {
+		t.Fatalf("write forwarded under the receiver's own epoch to a non-primary: %+v, want a forwarding-loop refusal", oe)
+	}
+}
+
 // TestLeaveDrainsRanges removes a member from a populated cluster and
 // checks that every key stays readable at its acknowledged version.
 func TestLeaveDrainsRanges(t *testing.T) {

@@ -1,22 +1,24 @@
 package server
 
-// Persistent per-peer fan-out workers for the serving hot path. The v1
-// coordinator spawned one goroutine per quorum leg per operation; at tens
-// of thousands of ops/s on a 3-replica cluster that is >100k goroutine
-// creations per second of pure churn. Here each destination member gets a
-// small persistent worker pool draining a submission queue, so a quorum
-// write touches N queues instead of spawning N goroutines, and the leg
-// task itself is pooled.
+// Persistent per-peer fan-out workers: the coordinator's one fan-out path.
+// The v1 coordinator spawned one goroutine per quorum leg per operation;
+// at tens of thousands of ops/s on a 3-replica cluster that is >100k
+// goroutine creations per second of pure churn. Here each destination
+// member gets a small persistent worker pool draining a submission queue,
+// so a quorum write touches N queues instead of spawning N goroutines, and
+// the leg task itself is pooled. A single-key operation submits one leg per
+// preference replica; a batched operation (batch.go) submits one
+// multi-key leg per destination peer.
 //
-// The worker path is only taken when no WARS latency model is injected
-// (n.inj == nil): injected legs sleep their sampled W/A/R/S delays on the
-// coordinator, and serializing those sleeps through a fixed worker pool
-// would distort the order statistics the conformance suite pins. With a
-// model installed, coordinators keep the original goroutine-per-leg path —
-// identical semantics by construction. Fault injection (delay/pause) can
-// also make a leg dwell: a full queue spills the task onto a fresh
-// goroutine rather than queueing behind a stalled worker, so cross-peer
-// legs never serialize behind one slow destination.
+// Injected WARS delays (latency.go) ride the same legs: submitLeg draws the
+// leg's (request, response) delay pair, a timer holds the leg before its
+// queue for the request delay, and a second timer holds the leg's acks for
+// the response delay once the RPC returns. Workers only ever run RPCs, so
+// an injected delay never queues later legs behind it, and the conformance
+// suite validates the path that serves traffic. Fault injection
+// (delay/pause) can still make an RPC dwell: a full queue spills the task
+// onto a fresh goroutine rather than queueing behind a stalled worker, so
+// cross-peer legs never serialize behind one slow destination.
 //
 // Queues are keyed by member ID, which the membership layer never reuses,
 // and live until the node closes: a departed member's drained queue idles
@@ -31,9 +33,9 @@ import (
 	"pbs/internal/kvstore"
 )
 
-// legWorkersPerPeer bounds concurrent legs per destination on the worker
-// path. Sized to keep a loopback peer's pipe full at high op concurrency
-// without re-creating per-op goroutine churn.
+// legWorkersPerPeer bounds concurrent legs per destination. Sized to keep a
+// loopback peer's pipe full at high op concurrency without re-creating
+// per-op goroutine churn.
 var legWorkersPerPeer = max(8, min(32, 4*runtime.GOMAXPROCS(0)))
 
 // legQueueCap bounds a peer queue; submissions beyond it spill onto fresh
@@ -111,56 +113,125 @@ func (n *Node) legQueue(id int) *peerQueue {
 	return q
 }
 
-// submitLeg routes one fan-out leg to its destination's worker queue,
-// spilling onto a fresh goroutine when the queue is saturated or closing.
-func (n *Node) submitLeg(id int, t *legTask) {
-	if !n.legQueue(id).submit(t) {
+// submitLeg starts one fan-out leg. With a WARS model injected it draws the
+// leg's delay pair and holds the leg on a timer for the request delay
+// before it enters the destination's queue.
+func (n *Node) submitLeg(t *legTask) {
+	if n.inj != nil {
+		t.reqMs, t.respMs = n.inj.legDelays(t.read)
+		if t.reqMs > 0 {
+			time.AfterFunc(msDuration(t.reqMs), t.enqueue)
+			return
+		}
+	}
+	t.enqueue()
+}
+
+// enqueue hands t to its destination's workers, spilling onto a fresh
+// goroutine when the queue is saturated or closing.
+func (t *legTask) enqueue() {
+	if !t.n.legQueue(t.target).submit(t) {
 		go t.run()
 	}
 }
 
-// legTask is one enqueued fan-out leg. Pooled: the worker that runs it
-// releases it, so the steady-state hot path allocates no task objects. A
-// batch leg carries one peer's whole share of a multi-key client batch
-// (parallel per-key slices) and costs one RPC frame for all of them.
+// legTask is one fan-out leg. Pooled: respond releases it, so the
+// steady-state hot path allocates no task objects. A batch leg carries one
+// peer's whole share of a multi-key client batch (parallel per-key slices)
+// and costs one RPC frame — and one injected delay draw — for all of them.
 type legTask struct {
 	n      *Node
 	view   *memView
 	target int
 	read   bool
 	batch  bool
+	// Injected request and response delays (ms); zero without a model.
+	reqMs, respMs float64
 
-	// Write legs.
-	ver kvstore.Version
-	ws  *writeState
-	// Read legs.
-	key string
-	rs  *readState
+	// Single-key legs: the write or read, its quorum state, its spare
+	// picker (sloppy mode), and the outcome run hands to respond.
+	ver    kvstore.Version
+	ws     *writeState
+	ok     bool
+	key    string
+	rs     *readState
+	rr     readResp
+	spares *sparePicker
 
 	// Batched legs (coordinateMGet/coordinateMPut): index-aligned per-key
-	// slices, capacity preserved across pool cycles.
-	bvers []kvstore.Version
-	bws   []*writeState
-	bkeys []string
-	brs   []*readState
-
-	spares *sparePicker
+	// slices, capacity preserved across pool cycles. bspares is empty in
+	// strict mode.
+	bvers   []kvstore.Version
+	bws     []*writeState
+	boks    []bool
+	bkeys   []string
+	brs     []*readState
+	brr     []readResp
+	bspares []*sparePicker
 }
 
 var legTaskPool = sync.Pool{New: func() any { return new(legTask) }}
 
 func newLegTask() *legTask { return legTaskPool.Get().(*legTask) }
 
+// run delivers the leg, records its WARS sample — (request delay + RPC
+// time, response delay), which without a model is the RPC round trip as W
+// or R and zero as A or S — and answers its quorum states, after the
+// response delay when one is injected.
 func (t *legTask) run() {
+	var sent time.Time
+	if t.n.legs != nil {
+		sent = time.Now()
+	}
+	if t.deliver() && t.n.legs != nil {
+		// A batch leg is one observation: its keys shared one round trip.
+		ms := t.reqMs + float64(time.Since(sent))/float64(time.Millisecond)
+		if t.read {
+			t.n.legs.observeRead(ms, t.respMs)
+		} else {
+			t.n.legs.observeWrite(ms, t.respMs)
+		}
+	}
+	if t.respMs > 0 {
+		time.AfterFunc(msDuration(t.respMs), t.respond)
+		return
+	}
+	t.respond()
+}
+
+// deliver performs the leg's RPC and stores each key's outcome for
+// respond, reporting whether the leg was answered.
+func (t *legTask) deliver() bool {
 	switch {
 	case t.batch && t.read:
-		t.n.runReadBatchLeg(t.view, t.target, t.bkeys, t.brs)
+		return t.deliverReadBatch()
 	case t.batch:
-		t.n.runWriteBatchLeg(t.view, t.target, t.bvers, t.bws)
+		return t.deliverWriteBatch()
 	case t.read:
-		t.n.runReadLeg(t.view, t.target, t.key, t.spares, t.rs)
+		t.rr = t.n.readReplica(t.view, t.target, t.key, t.spares)
+		return t.rr.err == nil
 	default:
-		t.n.runWriteLeg(t.view, t.target, t.ver, t.spares, t.ws)
+		t.ok = t.n.deliverWrite(t.view, t.target, t.ver, t.spares)
+		return t.ok
+	}
+}
+
+// respond hands each key's outcome to its quorum state and recycles the
+// task.
+func (t *legTask) respond() {
+	switch {
+	case t.batch && t.read:
+		for i, rs := range t.brs {
+			rs.complete(t.brr[i])
+		}
+	case t.batch:
+		for i, ws := range t.bws {
+			ws.ack(t.boks[i])
+		}
+	case t.read:
+		t.rs.complete(t.rr)
+	default:
+		t.ws.ack(t.ok)
 	}
 	t.reset()
 	legTaskPool.Put(t)
@@ -171,107 +242,79 @@ func (t *legTask) run() {
 // capacity — the per-peer grouping buffers are the batch path's hottest
 // allocation.
 func (t *legTask) reset() {
-	for i := range t.bvers {
-		t.bvers[i] = kvstore.Version{}
+	clear(t.bvers)
+	clear(t.bws)
+	clear(t.bkeys)
+	clear(t.brs)
+	clear(t.brr)
+	clear(t.bspares)
+	*t = legTask{
+		bvers: t.bvers[:0], bws: t.bws[:0], boks: t.boks[:0],
+		bkeys: t.bkeys[:0], brs: t.brs[:0], brr: t.brr[:0], bspares: t.bspares[:0],
 	}
-	for i := range t.bws {
-		t.bws[i] = nil
-	}
-	for i := range t.bkeys {
-		t.bkeys[i] = ""
-	}
-	for i := range t.brs {
-		t.brs[i] = nil
-	}
-	bvers, bws, bkeys, brs := t.bvers[:0], t.bws[:0], t.bkeys[:0], t.brs[:0]
-	*t = legTask{bvers: bvers, bws: bws, bkeys: bkeys, brs: brs}
 }
 
-// runWriteLeg delivers one write leg and acks the coordinator. The leg
-// sampler sees the same observation as the goroutine path with zero
-// injected delays: the real RPC time as W, zero A.
-func (n *Node) runWriteLeg(v *memView, target int, ver kvstore.Version, spares *sparePicker, ws *writeState) {
-	var sent time.Time
-	if n.legs != nil {
-		sent = time.Now()
+// spareAt returns key i's spare picker (nil in strict mode).
+func (t *legTask) spareAt(i int) *sparePicker {
+	if len(t.bspares) == 0 {
+		return nil
 	}
-	ok := n.deliverWrite(v, target, ver, spares)
-	if ok && n.legs != nil {
-		n.legs.observeWrite(float64(time.Since(sent))/float64(time.Millisecond), 0)
-	}
-	ws.ack(ok)
+	return t.bspares[i]
 }
 
-// runWriteBatchLeg delivers one peer's share of a batched write fan-out as
-// a single ApplyBatch round trip and acks each key's write state from the
-// peer's per-version answers, so ackable's stale-epoch refusal applies per
-// key exactly as on the single-key path. A transport failure fails every
-// key's leg and buffers one hint per version, mirroring deliverWrite.
-// Batch legs only run on the strict-quorum hot path, so there is no spare
-// walk here.
-func (n *Node) runWriteBatchLeg(v *memView, target int, vers []kvstore.Version, wss []*writeState) {
-	var sent time.Time
-	if n.legs != nil {
-		sent = time.Now()
-	}
-	acks, err := v.peers[target].ApplyBatch(vers)
-	if err != nil {
-		if n.handoff != nil {
-			for i := range vers {
-				n.handoff.store(target, vers[i])
+// deliverWriteBatch delivers one peer's share of a batched write fan-out as
+// a single ApplyBatch round trip and judges each key's ack from the peer's
+// per-version answers, so ackable's stale-epoch refusal applies per key
+// exactly as on the single-key path. When the frame fails — or, in sloppy
+// mode, the target is down — every key takes the single-key leg's
+// fallback (writeSpare): its spare walk, or a buffered hint.
+func (t *legTask) deliverWriteBatch() bool {
+	n, v := t.n, t.view
+	sloppy := len(t.bspares) > 0
+	if !sloppy || n.alive(v, t.target) {
+		acks, err := v.peers[t.target].ApplyBatch(t.bvers)
+		if err == nil {
+			for i := range t.bvers {
+				t.boks = append(t.boks, n.ackable(t.bvers[i], acks[i].Applied, acks[i].Seq))
 			}
+			return true
 		}
-		for _, ws := range wss {
-			ws.ack(false)
+		if sloppy && deadError(err) {
+			n.live.markDead(t.target)
 		}
-		return
 	}
-	if n.legs != nil {
-		// One observation per batch RPC: the keys shared one round trip.
-		n.legs.observeWrite(float64(time.Since(sent))/float64(time.Millisecond), 0)
+	for i := range t.bvers {
+		t.boks = append(t.boks, n.writeSpare(v, t.target, t.bvers[i], t.spareAt(i)))
 	}
-	for i, ws := range wss {
-		ws.ack(n.ackable(vers[i], acks[i].Applied, acks[i].Seq))
-	}
+	return false
 }
 
-// runReadBatchLeg performs one peer's share of a batched read fan-out as a
-// single GetVersionBatch round trip, distributing per-key responses to
-// each key's shared read state. A transport failure completes every key's
-// leg with the error (each key's quorum accounting stays independent).
-func (n *Node) runReadBatchLeg(v *memView, target int, keys []string, rss []*readState) {
-	var sent time.Time
-	if n.legs != nil {
-		sent = time.Now()
-	}
-	vs, found, err := v.peers[target].GetVersionBatch(keys)
-	if err != nil {
-		for _, rs := range rss {
-			rs.complete(readResp{node: target, err: err})
+// deliverReadBatch performs one peer's share of a batched read fan-out as a
+// single GetVersionBatch round trip. When the frame fails — or, in sloppy
+// mode, the target is down — every key takes the single-key leg's fallback
+// (readSpare), so each key's quorum accounting stays independent.
+func (t *legTask) deliverReadBatch() bool {
+	n, v := t.n, t.view
+	sloppy := len(t.bspares) > 0
+	var err error
+	if !sloppy || n.alive(v, t.target) {
+		var vs []kvstore.Version
+		var found []bool
+		vs, found, err = v.peers[t.target].GetVersionBatch(t.bkeys)
+		if err == nil {
+			for i := range t.bkeys {
+				t.brr = append(t.brr, readResp{node: t.target, v: vs[i], found: found[i]})
+			}
+			return true
 		}
-		return
+		if sloppy && deadError(err) {
+			n.live.markDead(t.target)
+		}
 	}
-	if n.legs != nil {
-		n.legs.observeRead(float64(time.Since(sent))/float64(time.Millisecond), 0)
+	for i, key := range t.bkeys {
+		t.brr = append(t.brr, n.readSpare(v, t.target, key, t.spareAt(i), err))
 	}
-	for i, rs := range rss {
-		rs.complete(readResp{node: target, v: vs[i], found: found[i]})
-	}
-}
-
-// runReadLeg performs one read leg and hands the response to the shared
-// read state (which answers the handler at quorum and finalizes the
-// detector/repair pass when the last leg lands).
-func (n *Node) runReadLeg(v *memView, target int, key string, spares *sparePicker, rs *readState) {
-	var sent time.Time
-	if n.legs != nil {
-		sent = time.Now()
-	}
-	rr := n.readReplica(v, target, key, spares)
-	if rr.err == nil && n.legs != nil {
-		n.legs.observeRead(float64(time.Since(sent))/float64(time.Millisecond), 0)
-	}
-	rs.complete(rr)
+	return false
 }
 
 // --- coordinated-read state ---------------------------------------------
@@ -291,6 +334,10 @@ type readState struct {
 
 	quorum, total int
 	waiter        chan struct{}
+	// at is the instant the waiter was signaled — the read's quorum time,
+	// written by the signaling leg before the send and read by the
+	// handler after the receive.
+	at time.Time
 
 	mu        sync.Mutex
 	resps     []readResp
@@ -333,6 +380,7 @@ func (rs *readState) release() {
 	rs.quorum, rs.total, rs.succ, rs.don = 0, 0, 0, 0
 	rs.signaled, rs.answered, rs.finalized = false, false, false
 	rs.returned = kvstore.Version{}
+	rs.at = time.Time{}
 	readStatePool.Put(rs)
 }
 
@@ -356,6 +404,7 @@ func (rs *readState) complete(r readResp) {
 	}
 	rs.mu.Unlock()
 	if signal {
+		rs.at = time.Now()
 		rs.waiter <- struct{}{}
 	}
 	if fin {
@@ -435,6 +484,8 @@ func (rs *readState) finalize() {
 type writeState struct {
 	quorum, total int
 	waiter        chan struct{}
+	// at is the instant the waiter was signaled (see readState.at).
+	at time.Time
 
 	mu          sync.Mutex
 	got, don    int
@@ -469,6 +520,7 @@ func (ws *writeState) ack(ok bool) {
 	release := ws.don == ws.total && ws.handlerDone
 	ws.mu.Unlock()
 	if signal {
+		ws.at = time.Now()
 		ws.waiter <- struct{}{}
 	}
 	if release {
@@ -494,5 +546,67 @@ func (ws *writeState) finish() bool {
 func (ws *writeState) release() {
 	ws.quorum, ws.total, ws.got, ws.don = 0, 0, 0, 0
 	ws.signaled, ws.handlerDone = false, false
+	ws.at = time.Time{}
 	writeStatePool.Put(ws)
+}
+
+// awaitWrite waits for ws's quorum verdict and answers the client for the
+// write assigned seq. CoordMs runs from start to the instant the W-th ack
+// landed, so a key harvested after a slower one in a batch still reports
+// its own quorum time.
+func (n *Node) awaitWrite(ws *writeState, seq uint64, start time.Time) (PutResponse, *opError) {
+	<-ws.waiter
+	committed := ws.at
+	if !ws.finish() {
+		n.failedOps.Add(1)
+		return PutResponse{}, errQuorumFailed("server: write quorum not reached")
+	}
+	return PutResponse{
+		Seq:               seq,
+		CommittedUnixNano: committed.UnixNano(),
+		CoordMs:           float64(committed.Sub(start)) / float64(time.Millisecond),
+		Node:              n.id,
+	}, nil
+}
+
+// awaitRead waits for rs's quorum and answers the client with the newest
+// version among the first R successful responses, timed like awaitWrite.
+func (n *Node) awaitRead(rs *readState, start time.Time) (GetResponse, *opError) {
+	<-rs.waiter
+	answered := rs.at
+	best, found, ok, finalizeNow := rs.answer()
+	if !ok {
+		// The waiter only fired with succ < quorum because every leg had
+		// answered, so nothing can still touch rs: release it here.
+		n.failedOps.Add(1)
+		rs.release()
+		return GetResponse{}, errQuorumFailed("server: read quorum not reached")
+	}
+	// A tombstone wins the newest-of-R comparison like any version — that is
+	// what makes a delete stick against slower live writes — but the client
+	// sees the key as absent. Seq is still reported so callers can observe
+	// the delete's version (and tests can assert tombstone durability).
+	resp := GetResponse{
+		Found:   found && !best.Tombstone,
+		Seq:     best.Seq,
+		Value:   best.Value,
+		CoordMs: float64(answered.Sub(start)) / float64(time.Millisecond),
+		Node:    n.id,
+	}
+	// The staleness-detector / read-repair pass over the complete response
+	// set (the v1 finishRead) runs on whichever of {last leg, handler} gets
+	// there last; when it falls to the handler with read repair enabled it
+	// moves to a goroutine so repair RPCs never delay the response.
+	if finalizeNow {
+		if n.params.ReadRepair {
+			go func() {
+				rs.finalize()
+				rs.release()
+			}()
+		} else {
+			rs.finalize()
+			rs.release()
+		}
+	}
+	return resp, nil
 }

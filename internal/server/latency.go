@@ -1,14 +1,17 @@
 package server
 
 // WARS latency injection. The conformance story of this package is that a
-// loopback cluster must reproduce the paper's production conditions: each
-// coordinated operation draws per-replica one-way delays from a
-// dist.LatencyModel — W (write dissemination), A (write ack), R (read
-// request), S (read response) — and realizes them as wall-clock sleeps on
-// the coordinator's per-replica fan-out goroutines. Sleeping on the
-// coordinator *before* the internal RPC (for the request leg) and *after*
-// it returns (for the response leg) reproduces the WARS arrival times at
-// both ends while keeping replicas and the transport latency-agnostic.
+// loopback cluster must reproduce the paper's production conditions: every
+// coordinator fan-out leg draws its one-way delays from a
+// dist.LatencyModel — W (write dissemination) and A (write ack) for a
+// write leg, R (read request) and S (read response) for a read leg — and
+// realizes them as timers on the coordinator (fanout.go): the request
+// delay elapses before the leg enters its peer's worker queue, the
+// response delay after the RPC returns and before the leg's ack reaches
+// the quorum state. That reproduces the WARS arrival times at both ends
+// while keeping replicas, the transport and the worker pool
+// latency-agnostic: no worker ever parks on an injected delay, and
+// read-repair, handoff, anti-entropy and drain RPCs are never delayed.
 
 import (
 	"sync"
@@ -18,8 +21,8 @@ import (
 	"pbs/internal/rng"
 )
 
-// injector samples WARS delays for coordinated operations. It is safe for
-// concurrent use; a nil injector injects nothing.
+// injector samples WARS delays for coordinator fan-out legs. It is safe
+// for concurrent use.
 type injector struct {
 	model dist.LatencyModel
 
@@ -38,43 +41,26 @@ func newInjector(model *dist.LatencyModel, scale float64, seed uint64) *injector
 	return &injector{model: m, r: rng.New(seed)}
 }
 
-// writeDelays fills w and a with per-replica write-propagation and ack
-// delays (milliseconds).
-func (in *injector) writeDelays(w, a []float64) {
-	if in == nil {
-		for i := range w {
-			w[i], a[i] = 0, 0
-		}
-		return
-	}
+// legDelays draws one leg's (request, response) delay pair in
+// milliseconds: (W, A) for a write leg, (R, S) for a read leg. A batch
+// leg is one frame and takes one draw for all of its keys.
+func (in *injector) legDelays(read bool) (req, resp float64) {
 	in.mu.Lock()
-	for i := range w {
-		w[i] = in.model.W.Sample(in.r)
-		a[i] = in.model.A.Sample(in.r)
+	defer in.mu.Unlock()
+	if read {
+		return in.model.R.Sample(in.r), in.model.S.Sample(in.r)
 	}
-	in.mu.Unlock()
+	return in.model.W.Sample(in.r), in.model.A.Sample(in.r)
 }
 
-// readDelays fills r and s with per-replica read-request and read-response
-// delays (milliseconds).
-func (in *injector) readDelays(r, s []float64) {
-	if in == nil {
-		for i := range r {
-			r[i], s[i] = 0, 0
-		}
-		return
-	}
-	in.mu.Lock()
-	for i := range r {
-		r[i] = in.model.R.Sample(in.r)
-		s[i] = in.model.S.Sample(in.r)
-	}
-	in.mu.Unlock()
+// msDuration converts milliseconds to a time.Duration.
+func msDuration(ms float64) time.Duration {
+	return time.Duration(ms * float64(time.Millisecond))
 }
 
 // sleepMs blocks for ms milliseconds (no-op for ms <= 0).
 func sleepMs(ms float64) {
 	if ms > 0 {
-		time.Sleep(time.Duration(ms * float64(time.Millisecond)))
+		time.Sleep(msDuration(ms))
 	}
 }

@@ -5,11 +5,13 @@ package server
 // individual fan-out legs directly: for writes, the dissemination leg (W)
 // from fan-out start to the apply acknowledgment and the ack leg (A)
 // until the response is accounted; for reads, the request leg (R) and the
-// response leg (S) likewise. Injected delays sleep on the coordinator
-// before the RPC (request leg) and after it (response leg), so the real
-// transport round trip is attributed to the request leg — the same
-// convention the conformance suite uses when composing predictions with
-// measured harness overhead. Each node keeps a bounded uniform reservoir
+// response leg (S) likewise. Every fan-out leg (fanout.go) records one
+// pair: the injected request delay plus the real RPC round trip as W or R,
+// and the injected response delay as A or S — so without a model the
+// round trip is W or R and A and S are zero, and a batch leg records one
+// pair for all of its keys. Attributing the round trip to the request leg
+// is the convention the conformance suite uses when composing predictions
+// with measured harness overhead. Each node keeps a bounded uniform reservoir
 // per leg and serves the pooled samples at GET /wars, which the tuner fits
 // online. Sampling is enabled by Params.WARSSampling (off by default: it
 // costs two clock reads and one mutex acquisition per fan-out leg); with
@@ -61,7 +63,7 @@ func (ls *legSampler) observe(leg int, ms float64) {
 }
 
 // observeWrite records one replica's write legs (one lock for the pair —
-// this runs on every fan-out goroutine of the hot path).
+// this runs on every fan-out leg of the hot path).
 func (ls *legSampler) observeWrite(wMs, aMs float64) {
 	ls.mu.Lock()
 	ls.observe(legW, wMs)

@@ -22,6 +22,7 @@ import (
 	"hash/fnv"
 	"log"
 	"sort"
+	"time"
 
 	"pbs/internal/ring"
 )
@@ -39,6 +40,18 @@ type memView struct {
 // first install — detached test nodes).
 func (n *Node) view() *memView {
 	return n.mem.Load()
+}
+
+// awaitEpoch waits up to timeout for the node's view to reach ring epoch
+// at least epoch, and returns the newest view it holds by then.
+func (n *Node) awaitEpoch(epoch uint64, timeout time.Duration) *memView {
+	deadline := time.Now().Add(timeout)
+	v := n.view()
+	for v.m.Epoch() < epoch && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		v = n.view()
+	}
+	return v
 }
 
 // replication returns the effective replication factor under view v: the

@@ -209,8 +209,7 @@ func TestMuxConcurrentCallsNoAliasing(t *testing.T) {
 }
 
 // TestWorkerPathFaultDropAndDelay verifies the fault controller still
-// interposes per leg on the persistent-worker fan-out path (no latency
-// model installed, so coordinators take the worker path): a 100% drop on
+// interposes per leg on the persistent-worker fan-out path: a 100% drop on
 // one replica costs that leg but not the W=2 quorum, and an injected delay
 // on a required leg shows up in the coordinator's commit latency.
 func TestWorkerPathFaultDropAndDelay(t *testing.T) {

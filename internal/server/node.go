@@ -126,9 +126,11 @@ type Params struct {
 	// Seed seeds latency-injection sampling.
 	Seed uint64
 	// BlockingTransport pins data-plane RPCs (Apply, ApplyHinted,
-	// GetVersion, Ping) to the v1 blocking conn-per-RPC transport instead
-	// of the v2 multiplexed one — the pre-multiplexing baseline the serving
-	// benchmark compares against. Control-plane ops use v1 either way.
+	// GetVersion, their batch forms, Ping) to the v1 blocking
+	// conn-per-RPC transport instead of the v2 multiplexed one — the
+	// pre-multiplexing baseline the serving benchmark compares against. It
+	// is a transport choice only: coordinators fan out through the same
+	// worker legs on either transport. Control-plane ops use v1 either way.
 	BlockingTransport bool
 }
 
@@ -686,9 +688,18 @@ func codeForStatus(status int, msg string) byte {
 	}
 }
 
-// forwardedHeader marks a write already proxied once, guarding against
-// forwarding loops if two nodes ever disagree about ring ownership.
+// forwardedHeader marks a proxied write and carries the ring epoch the
+// forwarder routed it under, guarding against forwarding loops if two nodes
+// ever disagree about ring ownership (see routeWriteOp).
 const forwardedHeader = "X-Pbs-Forwarded"
+
+// forwardedEpoch returns the ring epoch a proxied write was routed under.
+// An absent or malformed header reads as 0, not forwarded: the next hop
+// then carries a real epoch, so even a garbled chain ends.
+func forwardedEpoch(req *http.Request) uint64 {
+	e, _ := strconv.ParseUint(req.Header.Get(forwardedHeader), 10, 64)
+	return e
+}
 
 // handlePut routes a write: version-number assignment is serialized at the
 // key's coordinator, so a PUT arriving at any other node is proxied there
@@ -712,7 +723,7 @@ func (n *Node) handlePut(w http.ResponseWriter, req *http.Request) {
 		}
 		return
 	}
-	pr, oe := n.routeWriteOp(key, string(body), false, req.Header.Get(forwardedHeader) != "")
+	pr, oe := n.routeWriteOp(key, string(body), false, forwardedEpoch(req))
 	if oe != nil {
 		httpError(w, oe)
 		return
@@ -727,7 +738,7 @@ func (n *Node) handlePut(w http.ResponseWriter, req *http.Request) {
 // replication-borne tombstone is exactly what keeps a stale replica from
 // resurrecting the key later.
 func (n *Node) handleDelete(w http.ResponseWriter, req *http.Request) {
-	pr, oe := n.routeWriteOp(req.PathValue("key"), "", true, req.Header.Get(forwardedHeader) != "")
+	pr, oe := n.routeWriteOp(req.PathValue("key"), "", true, forwardedEpoch(req))
 	if oe != nil {
 		httpError(w, oe)
 		return
@@ -739,23 +750,36 @@ func (n *Node) handleDelete(w http.ResponseWriter, req *http.Request) {
 // comment for the coordinator-election rules), factored out of the HTTP
 // handlers so the binary client front end (clientproto.go) drives the
 // identical code: both enter here and leave with a typed response or a
-// typed failure.
-func (n *Node) routeWriteOp(key, value string, tombstone, forwarded bool) (PutResponse, *opError) {
+// typed failure. fwdEpoch is the ring epoch a proxied write was routed
+// under (0 when the write was not forwarded).
+func (n *Node) routeWriteOp(key, value string, tombstone bool, fwdEpoch uint64) (PutResponse, *opError) {
 	v := n.view()
 	if v == nil {
 		return PutResponse{}, errUnavailable("server: node has no membership yet")
+	}
+	if fwdEpoch > v.m.Epoch() {
+		// Forwarded under a ring this node has not installed yet: a
+		// committed flip whose decision is still on its way here (a joiner
+		// learns its own flip after the acceptors do). Judge ownership
+		// under that ring, not the superseded one.
+		v = n.awaitEpoch(fwdEpoch, time.Second)
 	}
 	primary := v.m.Coordinator(key)
 	if primary == n.id {
 		return n.coordinatePutOp(v, key, value, tombstone, false)
 	}
 	if !n.params.SloppyQuorum {
-		if forwarded {
+		// A write forwarded under an older ring than ours was routed by a
+		// node that has not seen a ring flip this one has: proxy it on to
+		// the primary of the newer ring. Each hop carries a strictly newer
+		// epoch, so the chain ends; a write forwarded under our epoch or a
+		// newer one is a genuine ownership disagreement.
+		if fwdEpoch >= v.m.Epoch() {
 			return PutResponse{}, errInternal("server: forwarding loop: not the primary coordinator")
 		}
 		return n.forwardPutOp(v, primary, key, value, tombstone)
 	}
-	if forwarded {
+	if fwdEpoch != 0 {
 		// The forwarder decided we are the first live preference replica.
 		// Accept the takeover if we really are on the preference list;
 		// re-forwarding here risks loops whenever liveness views disagree.
@@ -813,9 +837,10 @@ func (n *Node) onPreferenceList(v *memView, key string) bool {
 }
 
 // coordinatePutOp coordinates a write at this node: assign the next
-// version, fan it out to all N preference replicas with injected W/A delays
-// (redirecting legs for unreachable replicas to hinted spares in sloppy
-// mode), answer at the W-th acknowledgment. The whole operation runs under
+// version, fan it out as one worker leg per preference replica (fanout.go;
+// each leg draws its W/A delays when a model is injected, and redirects to
+// a hinted spare in sloppy mode when its replica is unreachable), answer at
+// the W-th acknowledgment. The whole operation runs under
 // the membership view loaded at admission.
 func (n *Node) coordinatePutOp(v *memView, key, value string, tombstone, takeover bool) (PutResponse, *opError) {
 	n.coordWrites.Add(1)
@@ -839,64 +864,16 @@ func (n *Node) coordinatePutOp(v *memView, key, value string, tombstone, takeove
 	if quorumW > nReps {
 		quorumW = nReps
 	}
-	var spares *sparePicker
-	if n.params.SloppyQuorum {
-		spares = n.sparePicker(v, key)
-	}
+	spares := n.sparePicker(v, key)
 	start := time.Now()
 	ws := newWriteState(quorumW, nReps)
-	if n.inj == nil && !n.params.BlockingTransport {
-		// Hot path: no WARS model, so legs go straight to the persistent
-		// per-peer workers (fanout.go) — no per-op goroutines, no delay
-		// arrays.
-		for _, nodeID := range prefs {
-			t := newLegTask()
-			t.n, t.view, t.target = n, v, nodeID
-			t.ver, t.spares, t.ws = ver, spares, ws
-			n.submitLeg(nodeID, t)
-		}
-	} else {
-		// Injected path: each leg sleeps its sampled W delay before the RPC
-		// and its A delay after, on a goroutine of its own so the sleeps
-		// overlap — the order statistics the conformance suite pins.
-		// BlockingTransport also lands here (with zero delays): it pins the
-		// whole pre-mux data plane, goroutine-per-leg fan-out included, so
-		// the serving bench compares like against like.
-		wd := make([]float64, nReps)
-		ad := make([]float64, nReps)
-		if n.inj != nil {
-			n.inj.writeDelays(wd, ad)
-		}
-		for i, nodeID := range prefs {
-			go func(i, nodeID int) {
-				sleepMs(wd[i])
-				var sent time.Time
-				if n.legs != nil {
-					sent = time.Now()
-				}
-				ok := n.deliverWrite(v, nodeID, ver, spares)
-				if ok && n.legs != nil {
-					rpcMs := float64(time.Since(sent)) / float64(time.Millisecond)
-					n.legs.observeWrite(wd[i]+rpcMs, ad[i])
-				}
-				sleepMs(ad[i])
-				ws.ack(ok)
-			}(i, nodeID)
-		}
+	for _, nodeID := range prefs {
+		t := newLegTask()
+		t.n, t.view, t.target = n, v, nodeID
+		t.ver, t.spares, t.ws = ver, spares, ws
+		n.submitLeg(t)
 	}
-
-	<-ws.waiter
-	if !ws.finish() {
-		n.failedOps.Add(1)
-		return PutResponse{}, errQuorumFailed("server: write quorum not reached")
-	}
-	committed := time.Now()
-	return PutResponse{
-		Seq:               seq,
-		CommittedUnixNano: committed.UnixNano(),
-		CoordMs:           float64(committed.Sub(start)) / float64(time.Millisecond),
-		Node:              n.id,
-	}, nil
+	return n.awaitWrite(ws, seq, start)
 }
 
 // sparePicker hands out each spare node (ring order beyond the preference
@@ -908,7 +885,12 @@ type sparePicker struct {
 	cands []int
 }
 
+// sparePicker returns key's spare picker under view v in sloppy mode, and
+// nil (no spare walk) in strict mode.
 func (n *Node) sparePicker(v *memView, key string) *sparePicker {
+	if !n.params.SloppyQuorum {
+		return nil
+	}
 	full := v.m.PreferenceList(key, v.m.Size())
 	return &sparePicker{cands: full[n.replication(v):]}
 }
@@ -965,29 +947,29 @@ func (n *Node) foldSeq(key string, seq uint64) {
 }
 
 // deliverWrite lands one write fan-out leg. In strict mode the leg goes to
-// its preference replica, buffering a coordinator-side hint on failure. In
-// sloppy mode (spares != nil) a leg whose replica is unreachable goes to
-// the next live spare beyond the preference list as a hinted write that
-// counts toward W; only when no spare can take it either does the
-// coordinator fall back to buffering the hint itself, unacked.
+// its preference replica; in sloppy mode (spares != nil) only while that
+// replica is believed alive. A leg the replica does not take falls back to
+// writeSpare.
 func (n *Node) deliverWrite(v *memView, target int, ver kvstore.Version, spares *sparePicker) bool {
-	if spares == nil {
-		applied, replicaSeq, err := v.peers[target].Apply(ver)
-		if err != nil && n.handoff != nil {
-			n.handoff.store(target, ver)
-		}
-		return err == nil && n.ackable(ver, applied, replicaSeq)
-	}
-	if n.alive(v, target) {
+	if spares == nil || n.alive(v, target) {
 		applied, replicaSeq, err := v.peers[target].Apply(ver)
 		if err == nil {
 			return n.ackable(ver, applied, replicaSeq)
 		}
-		if deadError(err) {
+		if spares != nil && deadError(err) {
 			n.live.markDead(target)
 		}
 	}
-	for {
+	return n.writeSpare(v, target, ver, spares)
+}
+
+// writeSpare is a write leg's fallback once its preference replica did not
+// take ver. In sloppy mode the leg goes to the next live spare beyond the
+// preference list as a hinted write that counts toward W; in strict mode,
+// or when no spare can take it either, the coordinator buffers the hint
+// itself, unacked. Single-key and batch legs share it.
+func (n *Node) writeSpare(v *memView, target int, ver kvstore.Version, spares *sparePicker) bool {
+	for spares != nil {
 		s := spares.next()
 		if s < 0 {
 			break
@@ -1018,7 +1000,7 @@ func (n *Node) forwardPutOp(v *memView, primary int, key, value string, tombston
 	if err != nil {
 		return PutResponse{}, errInternal(err.Error())
 	}
-	freq.Header.Set(forwardedHeader, "1")
+	freq.Header.Set(forwardedHeader, strconv.FormatUint(v.m.Epoch(), 10))
 	resp, err := n.proxyClient.Do(freq)
 	if err != nil {
 		return PutResponse{}, &opError{status: http.StatusBadGateway, code: CodeUnavailable,
@@ -1082,7 +1064,7 @@ func (n *Node) tryForwardOp(v *memView, cand int, key, value string, tombstone b
 	if err != nil {
 		return PutResponse{}, errInternal(err.Error()), forwardRelayed
 	}
-	freq.Header.Set(forwardedHeader, "1")
+	freq.Header.Set(forwardedHeader, strconv.FormatUint(v.m.Epoch(), 10))
 	resp, err := n.proxyClient.Do(freq)
 	if err != nil {
 		return PutResponse{}, nil, forwardUnreachable
@@ -1111,23 +1093,34 @@ type readResp struct {
 }
 
 // readReplica performs one read fan-out leg against target, falling back to
-// live spares (sloppy quorums, spares != nil) when the preference replica
-// is unreachable: a crashed replica's most recent writes live on the spare
-// holding its hints, so the spare's answer is the best available stand-in
-// and counts toward the R quorum.
+// readSpare when the preference replica fails (or, in sloppy mode, is
+// believed down).
 func (n *Node) readReplica(view *memView, target int, key string, spares *sparePicker) readResp {
-	if spares == nil {
-		v, found, err := view.peers[target].GetVersion(key)
-		return readResp{node: target, v: v, found: found, err: err}
-	}
-	if n.alive(view, target) {
-		v, found, err := view.peers[target].GetVersion(key)
+	var err error
+	if spares == nil || n.alive(view, target) {
+		var v kvstore.Version
+		var found bool
+		v, found, err = view.peers[target].GetVersion(key)
 		if err == nil {
 			return readResp{node: target, v: v, found: found}
 		}
-		if deadError(err) {
+		if spares != nil && deadError(err) {
 			n.live.markDead(target)
 		}
+	}
+	return n.readSpare(view, target, key, spares, err)
+}
+
+// readSpare is a read leg's fallback once its preference replica failed
+// with err (nil when sloppy routing skipped a down replica). In strict mode
+// the leg fails with err. In sloppy mode (spares != nil) the next live
+// spare answers instead: a crashed replica's most recent writes live on
+// the spare holding its hints, so the spare's answer is the best available
+// stand-in and counts toward the R quorum. Single-key and batch legs share
+// it.
+func (n *Node) readSpare(view *memView, target int, key string, spares *sparePicker, err error) readResp {
+	if spares == nil {
+		return readResp{node: target, err: err}
 	}
 	for {
 		s := spares.next()
@@ -1159,8 +1152,8 @@ func (n *Node) handleGet(w http.ResponseWriter, req *http.Request) {
 	writeJSON(w, gr)
 }
 
-// coordinateGetOp coordinates a read: fan out to all N preference replicas
-// with injected R/S delays, answer with the newest of the first R
+// coordinateGetOp coordinates a read: fan out one worker leg per preference
+// replica (each drawing its R/S delays when a model is injected), answer with the newest of the first R
 // responses, then keep collecting in the background for the staleness
 // detector and read repair. With sloppy quorums, a leg whose preference
 // replica is down falls back to the next live spare beyond the preference
@@ -1180,87 +1173,16 @@ func (n *Node) coordinateGetOp(key string) (GetResponse, *opError) {
 	if quorumR > nReps {
 		quorumR = nReps
 	}
-	var spares *sparePicker
-	if n.params.SloppyQuorum {
-		spares = n.sparePicker(v, key)
-	}
+	spares := n.sparePicker(v, key)
 	start := time.Now()
 	rs := n.newReadState(v, quorumR, nReps)
-	if n.inj == nil && !n.params.BlockingTransport {
-		// Hot path: persistent per-peer workers (fanout.go), no per-op
-		// goroutines.
-		for _, nodeID := range prefs {
-			t := newLegTask()
-			t.n, t.view, t.target, t.read = n, v, nodeID, true
-			t.key, t.spares, t.rs = key, spares, rs
-			n.submitLeg(nodeID, t)
-		}
-	} else {
-		// Injected path (and the BlockingTransport baseline, with zero
-		// delays): overlapped R/S delay sleeps per leg (see coordinatePut).
-		rd := make([]float64, nReps)
-		sd := make([]float64, nReps)
-		if n.inj != nil {
-			n.inj.readDelays(rd, sd)
-		}
-		for i, nodeID := range prefs {
-			go func(i, nodeID int) {
-				sleepMs(rd[i])
-				var sent time.Time
-				if n.legs != nil {
-					sent = time.Now()
-				}
-				rr := n.readReplica(v, nodeID, key, spares)
-				if rr.err == nil && n.legs != nil {
-					rpcMs := float64(time.Since(sent)) / float64(time.Millisecond)
-					n.legs.observeRead(rd[i]+rpcMs, sd[i])
-				}
-				sleepMs(sd[i])
-				rs.complete(rr)
-			}(i, nodeID)
-		}
+	for _, nodeID := range prefs {
+		t := newLegTask()
+		t.n, t.view, t.target, t.read = n, v, nodeID, true
+		t.key, t.spares, t.rs = key, spares, rs
+		n.submitLeg(t)
 	}
-
-	// Wait for the read quorum (or every leg, if the quorum is
-	// unreachable), then compute the verdict over the first R successful
-	// responses in arrival order.
-	<-rs.waiter
-	best, bestFound, ok, finalizeNow := rs.answer()
-	if !ok {
-		// The waiter only fired with succ < quorum because every leg had
-		// answered, so nothing can still touch rs: release it here.
-		n.failedOps.Add(1)
-		rs.release()
-		return GetResponse{}, errQuorumFailed("server: read quorum not reached")
-	}
-	answered := time.Now()
-	// A tombstone wins the newest-of-R comparison like any version — that is
-	// what makes a delete stick against slower live writes — but the client
-	// sees the key as absent. Seq is still reported so callers can observe
-	// the delete's version (and tests can assert tombstone durability).
-	resp := GetResponse{
-		Found:   bestFound && !best.Tombstone,
-		Seq:     best.Seq,
-		Value:   best.Value,
-		CoordMs: float64(answered.Sub(start)) / float64(time.Millisecond),
-		Node:    n.id,
-	}
-	// The staleness-detector / read-repair pass over the complete response
-	// set (the v1 finishRead) runs on whichever of {last leg, handler} gets
-	// there last; when it falls to the handler with read repair enabled it
-	// moves to a goroutine so repair RPCs never delay the response.
-	if finalizeNow {
-		if n.params.ReadRepair {
-			go func() {
-				rs.finalize()
-				rs.release()
-			}()
-		} else {
-			rs.finalize()
-			rs.release()
-		}
-	}
-	return resp, nil
+	return n.awaitRead(rs, start)
 }
 
 func (n *Node) handleConfig(w http.ResponseWriter, _ *http.Request) {

@@ -75,9 +75,9 @@ const (
 	// peerPoolSize caps the idle connections kept per peer.
 	peerPoolSize = 64
 
-	// rpcTimeout bounds one internal round trip. Injected WARS delays sleep
-	// on the coordinator before the RPC starts, so this only covers real
-	// network plus handler time.
+	// rpcTimeout bounds one internal round trip. Injected WARS delays
+	// elapse on coordinator timers around the RPC (fanout.go), so this only
+	// covers real network plus handler time.
 	rpcTimeout = 10 * time.Second
 )
 

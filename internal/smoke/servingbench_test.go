@@ -2,15 +2,15 @@ package smoke
 
 // Loopback serving benchmark for the internal data-plane transport — the
 // acceptance bar for the multiplexed (v2) rebuild. One process hosts a
-// 3-node in-memory cluster (N=3, R=2, W=2, no WARS model, so coordinators
-// take the hot path) and a closed-loop HTTP client; each cell measures
+// 3-node in-memory cluster (N=3, R=2, W=2, no WARS model) and a
+// closed-loop HTTP client; each cell measures
 // PUT or GET throughput, client-observed p50/p99.9, and whole-process
 // allocations per op at a given in-flight concurrency. Every cell runs
 // twice: once on the mux transport (tagged frames over a small fixed
-// connection set, persistent per-peer fan-out workers) and once with
-// Params.BlockingTransport, which pins the entire pre-mux data plane —
-// one blocking RPC per pooled connection and goroutine-per-leg fan-out —
-// so the speedup ratio compares like against like in the same harness.
+// connection set) and once with Params.BlockingTransport, which pins the
+// pre-mux transport — one blocking RPC per pooled connection — under the
+// same persistent per-peer fan-out workers, so the two rows differ by
+// transport alone.
 //
 // The mux cluster additionally runs every cell through both client front
 // ends — the HTTP+JSON API and the pipelined binary client protocol
@@ -286,7 +286,7 @@ func TestServingBenchJSON(t *testing.T) {
 			"rpc_speedup_floor_x100":      200,
 			"binary_speedup_floor_x100":   150,
 			"mget_speedup_floor_x100":     200,
-			"binary_get_allocs_ceiling":   40,
+			"binary_get_allocs_ceiling":   25,
 		}
 		data, err := json.MarshalIndent(payload, "", "  ")
 		if err != nil {
@@ -338,8 +338,9 @@ func TestServingBenchJSON(t *testing.T) {
 			mgetFloor, mgetSpeedup)
 	}
 	// The allocation bar for the single-key decode tightening + pooled
-	// read-state work: a whole-process (client + 3 replicas) malloc budget.
-	const allocCeiling = 40.0
+	// read-state work: a whole-process (client + 3 replicas) malloc budget,
+	// held near the measured ~17 so a hot-path allocation shows up here.
+	const allocCeiling = 25.0
 	if binGetAllocs >= allocCeiling {
 		t.Fatalf("binary single-key GET allocs/op at 64 in flight: %.1f, want < %.0f",
 			binGetAllocs, allocCeiling)
