@@ -232,7 +232,7 @@ func (n *Node) coordinateMPut(ops []BatchPutOp) []batchPutOut {
 		n.submitLeg(t)
 	}
 	for _, i := range local {
-		outs[i].pr, outs[i].oe = n.awaitWrite(wss[i], outs[i].pr.Seq, start)
+		outs[i].pr, outs[i].oe = n.awaitWrite(wss[i], outs[i].pr.Seq, start, nil)
 	}
 	remoteWG.Wait()
 	return outs

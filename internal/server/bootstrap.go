@@ -33,7 +33,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"path/filepath"
@@ -128,10 +128,6 @@ func newNode(id int, p Params, faults *Faults, seeds *rng.RNG) (*Node, error) {
 		live:         newLiveness(),
 		pendingJoins: make(map[string]int),
 		stop:         make(chan struct{}),
-		proxyClient: &http.Client{
-			Transport: &http.Transport{MaxIdleConnsPerHost: 64},
-			Timeout:   30 * time.Second,
-		},
 	}
 	n.rq.Store(int32(p.R))
 	n.wq.Store(int32(p.W))
@@ -391,7 +387,7 @@ func (n *Node) completeJoin() error {
 	if err := n.broadcastMembership(next); err != nil {
 		// Best-effort: the configuration is committed in the log and the
 		// decide broadcast reached a majority; gossip converges the rest.
-		log.Printf("server: node %d: membership push after join: %v", n.id, err)
+		slog.Warn("server: membership push after join failed", "node", n.id, "epoch", next.Epoch(), "err", err)
 	}
 
 	// Delta rounds: writes coordinated under the old view during the flip
@@ -564,7 +560,7 @@ func (n *Node) Leave() error {
 	if err := n.broadcastMembership(next); err != nil {
 		// Best-effort, as in completeJoin: the log's decide broadcast plus
 		// gossip converge any member the push missed.
-		log.Printf("server: node %d: membership push after leave: %v", n.id, err)
+		slog.Warn("server: membership push after leave failed", "node", n.id, "epoch", next.Epoch(), "err", err)
 	}
 	return drainErr
 }

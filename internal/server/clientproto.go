@@ -344,8 +344,10 @@ func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 	fail := func(oe *opError) (byte, []byte) {
 		return statusClientErr, appendClientError(buf[:0], epoch, oe.code, oe.msg)
 	}
-	// A crashed or partitioned replica refuses client traffic just as the
-	// HTTP front end does (503), but as a typed retryable frame.
+	// A crashed or partitioned replica refuses every client op with a typed
+	// retryable frame. The HTTP front end refuses only while crashed (503);
+	// a partitioned node keeps serving HTTP from its stale view, where its
+	// reads and writes fail at their fault-gated peer legs or forward.
 	if n.faults.Down(n.id) {
 		return fail(errUnavailable(ErrReplicaDown.Error()))
 	}
@@ -361,17 +363,7 @@ func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 		if !tombstone {
 			value = d.string32()
 		}
-		if d.err != nil || key == "" {
-			return fail(errBadRequest("server: malformed client request"))
-		}
-		if len(value) > maxValueBytes {
-			return fail(&opError{status: http.StatusRequestEntityTooLarge, code: CodeBadRequest, msg: "server: value exceeds 1 MiB"})
-		}
-		pr, oe := n.routeWriteOp(key, value, tombstone, 0)
-		if oe != nil {
-			return fail(oe)
-		}
-		return statusClientOK, appendClientPutResponse(buf[:0], epoch, pr)
+		return n.answerWrite(buf, d, key, value, tombstone, 0)
 	case opClientGet:
 		key := d.string16()
 		if d.err != nil || key == "" {
@@ -407,6 +399,26 @@ func (n *Node) handleClientOp(op byte, payload, buf []byte) (byte, []byte) {
 	default:
 		return fail(errBadRequest(fmt.Sprintf("server: unknown client op %d", op)))
 	}
+}
+
+// answerWrite routes one decoded write — a client's put or delete, or a
+// peer's opForward — and answers in the client status family, refusing a
+// malformed frame, an empty key and a value over maxValueBytes first.
+func (n *Node) answerWrite(buf []byte, d *decoder, key, value string, tombstone bool, fwdEpoch uint64) (byte, []byte) {
+	var pr PutResponse
+	var oe *opError
+	switch {
+	case d.err != nil || key == "":
+		oe = errBadRequest("server: malformed client request")
+	case len(value) > maxValueBytes:
+		oe = &opError{status: http.StatusRequestEntityTooLarge, code: CodeBadRequest, msg: "server: value exceeds 1 MiB"}
+	default:
+		pr, oe = n.routeWriteOp(key, value, tombstone, fwdEpoch)
+	}
+	if oe != nil {
+		return statusClientErr, appendClientError(buf[:0], n.RingEpoch(), oe.code, oe.msg)
+	}
+	return statusClientOK, appendClientPutResponse(buf[:0], n.RingEpoch(), pr)
 }
 
 // clientJSON answers a cold-path client op (config/stats/WARS) with an

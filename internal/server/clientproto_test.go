@@ -240,21 +240,22 @@ func TestBinClientRedialsAfterTeardown(t *testing.T) {
 }
 
 // TestBinClientFaultFrames pins the error taxonomy clients route on: a
-// crashed node answers CodeUnavailable (retryable — walk to the next
+// crashed node — asked directly, or reached as the coordinator a live node
+// forwards to — answers CodeUnavailable (retryable — walk to the next
 // node), while a live coordinator that cannot reach its write quorum
-// answers CodeQuorumFailed (the cluster's verdict; final).
+// answers CodeQuorumFailed (the cluster's verdict; final), relayed
+// unchanged through a forward and counted once.
 func TestBinClientFaultFrames(t *testing.T) {
-	c, err := StartLocal(3, Params{N: 3, R: 2, W: 2, Seed: 11})
+	c, err := StartLocal(3, Params{N: 3, R: 2, W: 3, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// Crash node 1 and 2: node 0 stays live but cannot assemble W=2.
-	c.Faults().Crash(1)
+	// Crash node 2: nodes 0 and 1 stay live but cannot assemble W=3.
 	c.Faults().Crash(2)
 
-	bcDown := NewBinClient(c.Nodes[1].selfInternal)
+	bcDown := NewBinClient(c.Nodes[2].selfInternal)
 	defer bcDown.Close()
 	_, _, err = bcDown.Get("k")
 	ce, ok := err.(*ClientError)
@@ -262,19 +263,30 @@ func TestBinClientFaultFrames(t *testing.T) {
 		t.Fatalf("crashed node answered %v (want retryable CodeUnavailable)", err)
 	}
 
-	// A key node 0 coordinates itself, so the verdict is its own (a key
-	// owned by a crashed primary would fail the forward hop instead, which
-	// is CodeUnavailable — worth routing around, unlike this).
-	key := "quorum-key"
-	for i := 0; c.Membership().Coordinator(key) != 0; i++ {
-		key = fmt.Sprintf("quorum-key-%d", i)
-	}
-	bc := NewBinClient(c.Nodes[0].selfInternal)
-	defer bc.Close()
-	_, _, err = bc.Put(key, "v")
-	ce, ok = err.(*ClientError)
-	if !ok || ce.Code != CodeQuorumFailed || ce.Retryable() {
-		t.Fatalf("quorum failure surfaced as %v (want final CodeQuorumFailed)", err)
+	bcs := []*BinClient{NewBinClient(c.Nodes[0].selfInternal), NewBinClient(c.Nodes[1].selfInternal)}
+	defer bcs[0].Close()
+	defer bcs[1].Close()
+	for _, tc := range []struct {
+		name          string
+		at, primary   int
+		code          byte
+		retryable     bool
+		countedFailed int64
+	}{
+		{"own quorum failure", 0, 0, CodeQuorumFailed, false, 1},
+		{"forward to a crashed primary", 0, 2, CodeUnavailable, true, 0},
+		{"forwarded quorum failure", 1, 0, CodeQuorumFailed, false, 1},
+	} {
+		key := keysWithPrimary(t, c, tc.primary, 1, "fault-frame-"+tc.name)[0]
+		failedBefore := c.Stats().FailedOps
+		_, _, err = bcs[tc.at].Put(key, "v")
+		ce, ok = err.(*ClientError)
+		if !ok || ce.Code != tc.code || ce.Retryable() != tc.retryable {
+			t.Fatalf("%s surfaced as %v (want code %d, retryable %v)", tc.name, err, tc.code, tc.retryable)
+		}
+		if got := c.Stats().FailedOps - failedBefore; got != tc.countedFailed {
+			t.Fatalf("%s counted as %d failed ops, want %d", tc.name, got, tc.countedFailed)
+		}
 	}
 }
 

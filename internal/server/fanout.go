@@ -553,9 +553,17 @@ func (ws *writeState) release() {
 // awaitWrite waits for ws's quorum verdict and answers the client for the
 // write assigned seq. CoordMs runs from start to the instant the W-th ack
 // landed, so a key harvested after a slower one in a batch still reports
-// its own quorum time.
-func (n *Node) awaitWrite(ws *writeState, seq uint64, start time.Time) (PutResponse, *opError) {
-	<-ws.waiter
+// its own quorum time. A write without a verdict when limit fires (nil
+// never does) fails as a quorum failure; its legs run on, and a goroutine
+// takes the verdict so ws is released as usual.
+func (n *Node) awaitWrite(ws *writeState, seq uint64, start time.Time, limit <-chan time.Time) (PutResponse, *opError) {
+	select {
+	case <-ws.waiter:
+	case <-limit:
+		go func() { <-ws.waiter; ws.finish() }()
+		n.failedOps.Add(1)
+		return PutResponse{}, errQuorumFailed("server: write quorum not reached in time")
+	}
 	committed := ws.at
 	if !ws.finish() {
 		n.failedOps.Add(1)

@@ -365,6 +365,93 @@ func TestPauseBlocksThenDelivers(t *testing.T) {
 	}
 }
 
+// TestForwardHonorsPartition: a write forwarded to its coordinator crosses
+// the fault layer like every other peer call. A partitioned node's writes
+// for keys another node coordinates are refused as retryable
+// unavailability on both front ends, and a live node never reaches a
+// partitioned primary.
+func TestForwardHonorsPartition(t *testing.T) {
+	c, err := StartLocal(3, Params{N: 3, R: 1, W: 1, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const cut, live = 2, 1
+	key := keysWithPrimary(t, c, 0, 1, "fwd-out-")[0]
+	cutKey := keysWithPrimary(t, c, cut, 1, "fwd-in-")[0]
+	c.Faults().Partition(cut)
+
+	refused := func(from int, key string) {
+		t.Helper()
+		_, err := httpPutErr(c.HTTPAddrs[from], key, "v")
+		if err == nil || !strings.Contains(err.Error(), "503") || strings.Contains(err.Error(), "quorum not reached") {
+			t.Fatalf("HTTP write of %q at node %d: %v, want a 503 routing refusal", key, from, err)
+		}
+		bc := NewBinClient(c.Nodes[from].selfInternal)
+		defer bc.Close()
+		_, _, err = bc.Put(key, "v")
+		if ce, ok := err.(*ClientError); !ok || ce.Code != CodeUnavailable {
+			t.Fatalf("binary write of %q at node %d: %v, want CodeUnavailable", key, from, err)
+		}
+	}
+
+	refused(cut, key)
+	if got := c.Nodes[0].coordWrites.Load(); got != 0 {
+		t.Fatalf("primary coordinated %d writes forwarded by a partitioned node", got)
+	}
+	refused(live, cutKey)
+	if got := c.Nodes[cut].coordWrites.Load(); got != 0 {
+		t.Fatalf("partitioned primary coordinated %d forwarded writes", got)
+	}
+}
+
+// TestForwardedWriteAnswersInsideRPCTimeout: a forwarded write whose
+// quorum waits on a paused replica comes back as the coordinator's quorum
+// verdict inside rpcTimeout — before the forwarder's read deadline could
+// tear down the mux connection its data legs share.
+func TestForwardedWriteAnswersInsideRPCTimeout(t *testing.T) {
+	c, err := StartLocal(3, Params{N: 3, R: 1, W: 3, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	keys := keysWithPrimary(t, c, 0, 2, "fwd-pause-")
+	httpPut(t, c.HTTPAddrs[1], keys[0], "warm") // dials node 1's mux to node 0
+	p := c.Nodes[1].view().peers[0].(*faultPeer).next.(*peer)
+	p.muxMu.Lock()
+	before := p.muxes
+	p.muxMu.Unlock()
+
+	c.Faults().Pause(2)
+	defer c.Faults().Resume(2)
+	start := time.Now()
+	_, err = httpPutErr(c.HTTPAddrs[1], keys[1], "v")
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "quorum not reached") {
+		t.Fatalf("forwarded write stuck on a paused replica: %v, want the coordinator's quorum verdict", err)
+	}
+	if elapsed >= rpcTimeout {
+		t.Fatalf("forwarded write answered after %v, not inside rpcTimeout %v", elapsed, rpcTimeout)
+	}
+	p.muxMu.Lock()
+	defer p.muxMu.Unlock()
+	dialed := 0
+	for i, mc := range before {
+		if mc == nil {
+			continue
+		}
+		dialed++
+		if p.muxes[i] != mc || mc.isDead() {
+			t.Fatalf("mux connection %d to the coordinator was torn down by the forwarded write", i)
+		}
+	}
+	if dialed == 0 {
+		t.Fatal("no mux connection to the coordinator before the forwarded write")
+	}
+}
+
 // TestDelayInjection: link delay toward one replica defers its apply
 // without failing it.
 func TestDelayInjection(t *testing.T) {

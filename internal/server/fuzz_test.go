@@ -11,10 +11,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"net/http"
+	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"pbs/internal/kvstore"
 	"pbs/internal/ring"
@@ -47,7 +46,6 @@ func fuzzNode() *Node {
 			pendingJoins: make(map[string]int),
 			stop:         make(chan struct{}),
 			live:         newLiveness(),
-			proxyClient:  &http.Client{Timeout: time.Second},
 		}
 		m, err := ring.NewMembership([]ring.Member{
 			{ID: 0, HTTPAddr: "http://127.0.0.1:9", InternalAddr: "127.0.0.1:9"},
@@ -62,6 +60,28 @@ func fuzzNode() *Node {
 		sharedFuzzNode = n
 	})
 	return sharedFuzzNode
+}
+
+// pinForwardEpoch returns an opForward payload with its ring epoch set to
+// the fuzz node's own. A forward routed under a later ring makes the
+// receiver wait up to a second for a flip this detached node never
+// learns, which would spend the fuzzing budget asleep; the epoch is a
+// fixed 8-byte field with nothing to decode.
+func pinForwardEpoch(op byte, payload []byte) []byte {
+	if op != opForward || len(payload) < 8 {
+		return payload
+	}
+	pinned := append([]byte(nil), payload...)
+	binary.BigEndian.PutUint64(pinned, fuzzNode().RingEpoch())
+	return pinned
+}
+
+// claimsOversizedValue is an opForward payload whose value length prefix
+// claims maxValueBytes+1 bytes it does not carry.
+func claimsOversizedValue() []byte {
+	b := appendForward(nil, 1, "fwd", "", false)
+	binary.BigEndian.PutUint32(b[len(b)-4:], maxValueBytes+1)
+	return b
 }
 
 func FuzzFrameDecoder(f *testing.F) {
@@ -94,6 +114,24 @@ func FuzzFrameDecoder(f *testing.F) {
 	f.Add(frame(opBucket, []byte{4, 0xff, 0xff}))
 	f.Add(frame(opApplyHint, []byte{0xff, 0xff}))                        // truncated target
 	f.Add(frame(opApplyHint, []byte{0xff, 0xff, 0xff, 0xff, 0, 1, 'k'})) // target outside cluster
+	// Forwarded writes: well-formed put and delete, truncated, empty key,
+	// oversized value. The oversized seed only claims maxValueBytes+1 in
+	// its length prefix: a 1 MiB seed would have the fuzzer spend its run
+	// minimizing it. The check below sends a full one; it and the empty key
+	// are refused before routing, exactly as opClientPut refuses them.
+	f.Add(frame(opForward, appendForward(nil, 1, "fwd", "v", false)))
+	f.Add(frame(opForward, appendForward(nil, 1, "seeded", "", true)))
+	f.Add(frame(opForward, appendForward(nil, 1, "fwd", "v", false)[:12]))
+	emptyKey := appendForward(nil, 1, "", "v", false)
+	f.Add(frame(opForward, emptyKey))
+	f.Add(frame(opForward, claimsOversizedValue()))
+	oversized := appendForward(nil, 1, "fwd", strings.Repeat("x", maxValueBytes+1), false)
+	for _, req := range [][]byte{emptyKey, oversized} {
+		_, _, err := decodeClientFrame(fuzzNode().handleRPC(opForward, req))
+		if ce, ok := err.(*ClientError); !ok || ce.Code != CodeBadRequest {
+			f.Fatalf("forward of %d bytes answered %v, want CodeBadRequest", len(req), err)
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The stream decoder must either produce a bounded payload or fail;
@@ -104,10 +142,20 @@ func FuzzFrameDecoder(f *testing.F) {
 				t.Fatalf("frame decoder returned %d bytes, limit %d", len(payload), maxFrame)
 			}
 			// A decoded frame must dispatch without panicking, whatever its
-			// opcode and payload.
+			// opcode and payload. Peer ops answer in the peer status family;
+			// opForward and the client ops answer in the client family,
+			// whose frames must decode.
 			n := fuzzNode()
-			status, resp := n.handleRPC(tag, payload)
-			if status != statusOK && status != statusErr {
+			status, resp := n.handleRPC(tag, pinForwardEpoch(tag, payload))
+			switch status {
+			case statusOK, statusErr:
+			case statusClientOK, statusClientErr:
+				if _, _, err := decodeClientFrame(status, resp); err != nil {
+					if _, ok := err.(*ClientError); !ok {
+						t.Fatalf("client-family answer failed to decode: %v", err)
+					}
+				}
+			default:
 				t.Fatalf("dispatcher returned unknown status %d", status)
 			}
 			if status == statusErr && len(resp) == 0 {
@@ -119,7 +167,7 @@ func FuzzFrameDecoder(f *testing.F) {
 		// payload decoders see inputs the framing layer would reject.
 		if len(data) > 0 {
 			n := fuzzNode()
-			n.handleRPC(data[0], data[1:])
+			n.handleRPC(data[0], pinForwardEpoch(data[0], data[1:]))
 		}
 	})
 }
@@ -182,6 +230,10 @@ func FuzzMuxStream(f *testing.F) {
 	f.Add(taggedFrame(opApply, 4, []byte{0, 5, 'a'}))                    // truncated version
 	f.Add(taggedFrame(99, 5, []byte("junk")))                            // unknown opcode
 	f.Add(taggedFrame(opClientPut, 6, appendString32(appendString16(nil, "k"), "v")))
+	f.Add(taggedFrame(opForward, 7, appendForward(nil, 1, "fwd", "v", false)))
+	f.Add(taggedFrame(opForward, 8, appendForward(nil, 1, "fwd", "v", false)[:12]))
+	f.Add(taggedFrame(opForward, 9, appendForward(nil, 1, "", "v", false)))
+	f.Add(taggedFrame(opForward, 10, claimsOversizedValue()))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n := fuzzNode()
 		br := bufio.NewReader(bytes.NewReader(data))
@@ -194,7 +246,7 @@ func FuzzMuxStream(f *testing.F) {
 				t.Fatalf("stream decoder returned %d bytes, limit %d", len(payload), maxFrame)
 			}
 			out := getBuf(64)
-			status, resp := n.handleRPCBuf(tag, payload, out[:0])
+			status, resp := n.handleRPCBuf(tag, pinForwardEpoch(tag, payload), out[:0])
 			if status != statusOK && status != statusErr && status != statusClientOK && status != statusClientErr {
 				t.Fatalf("dispatcher returned unknown status %d", status)
 			}

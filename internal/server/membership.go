@@ -20,7 +20,7 @@ package server
 
 import (
 	"hash/fnv"
-	"log"
+	"log/slog"
 	"sort"
 	"time"
 
@@ -75,16 +75,6 @@ func (n *Node) prefs(v *memView, key string) []int {
 	return v.m.PreferenceList(key, n.replication(v))
 }
 
-// httpAddr returns a member's public base URL under view v ("" when the
-// member is unknown).
-func (v *memView) httpAddr(id int) string {
-	mem, ok := v.m.Member(id)
-	if !ok {
-		return ""
-	}
-	return mem.HTTPAddr
-}
-
 // mkPeer builds the fault-wrapped RPC client for one member as seen from
 // this node. Params.BlockingTransport pins the data plane to the v1
 // blocking pool (the pre-multiplexing baseline the serving benchmark
@@ -130,7 +120,7 @@ func (n *Node) installMembership(m *ring.Membership) bool {
 	if pinned, ok := n.cfgDigests[m.Epoch()]; ok && pinned != d {
 		n.memMu.Unlock()
 		n.configRejects.Add(1)
-		log.Printf("server: node %d: rejecting membership at epoch %d: conflicts with the configuration already pinned at that epoch", n.id, m.Epoch())
+		slog.Warn("server: rejecting membership that conflicts with the configuration pinned at its epoch", "node", n.id, "epoch", m.Epoch())
 		return false
 	}
 	cur := n.mem.Load()

@@ -20,16 +20,12 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	neturl "net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -480,11 +476,10 @@ type Node struct {
 	configDecides  atomic.Int64
 	configRejects  atomic.Int64
 
-	httpSrv     *http.Server
-	internalLn  net.Listener
-	proxyClient *http.Client
-	closeOnce   sync.Once
-	closed      atomic.Bool // set by Close; a closed node is not a live member
+	httpSrv    *http.Server
+	internalLn net.Listener
+	closeOnce  sync.Once
+	closed     atomic.Bool // set by Close; a closed node is not a live member
 }
 
 // nowMs is the node's store clock (milliseconds since node start), used to
@@ -641,7 +636,7 @@ const maxValueBytes = 1 << 20
 // client protocol's error code (clientproto.go). Both front ends route
 // through the same typed entry points below, so they cannot drift on
 // failure semantics — in particular on which failures a client may retry
-// at another node (CodeUnavailable / routing-level 502-503) versus which
+// at another node (CodeUnavailable / routing-level 503) versus which
 // are the cluster's final verdict (quorum failures, bad requests).
 type opError struct {
 	status int
@@ -671,42 +666,14 @@ func errInternal(msg string) *opError {
 // http.Error, keeping the compatibility surface byte-identical.
 func httpError(w http.ResponseWriter, e *opError) { http.Error(w, e.msg, e.status) }
 
-// codeForStatus maps a proxied HTTP failure onto the binary protocol's
-// error codes, preserving client-visible retryability: 502/503 are
-// routing-level and retryable EXCEPT a coordinator's own quorum verdict.
-func codeForStatus(status int, msg string) byte {
-	switch status {
-	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
-		return CodeBadRequest
-	case http.StatusBadGateway, http.StatusServiceUnavailable:
-		if strings.Contains(msg, "quorum not reached") {
-			return CodeQuorumFailed
-		}
-		return CodeUnavailable
-	default:
-		return CodeInternal
-	}
-}
-
-// forwardedHeader marks a proxied write and carries the ring epoch the
-// forwarder routed it under, guarding against forwarding loops if two nodes
-// ever disagree about ring ownership (see routeWriteOp).
-const forwardedHeader = "X-Pbs-Forwarded"
-
-// forwardedEpoch returns the ring epoch a proxied write was routed under.
-// An absent or malformed header reads as 0, not forwarded: the next hop
-// then carries a real epoch, so even a garbled chain ends.
-func forwardedEpoch(req *http.Request) uint64 {
-	e, _ := strconv.ParseUint(req.Header.Get(forwardedHeader), 10, 64)
-	return e
-}
-
 // handlePut routes a write: version-number assignment is serialized at the
-// key's coordinator, so a PUT arriving at any other node is proxied there
+// key's coordinator, so a PUT arriving at any other node is forwarded there
 // first (Section 4.2's "proxying operations") — otherwise two coordinators
 // could assign the same sequence number and fork the key's history. The
-// coordinator is normally the key's ring primary; with sloppy quorums it is
-// the first *live* node on the preference list, so a crashed primary costs
+// forward is a fault-gated peer RPC (Peer.Forward) whose typed verdict
+// relays with the coordinator's own HTTP status. The coordinator is
+// normally the key's ring primary; with sloppy quorums it is the first
+// *live* node on the preference list, so a crashed primary costs
 // availability nothing (the failover coordinator claims a fresh seq epoch,
 // see nextSeq).
 func (n *Node) handlePut(w http.ResponseWriter, req *http.Request) {
@@ -723,7 +690,7 @@ func (n *Node) handlePut(w http.ResponseWriter, req *http.Request) {
 		}
 		return
 	}
-	pr, oe := n.routeWriteOp(key, string(body), false, forwardedEpoch(req))
+	pr, oe := n.routeWriteOp(key, string(body), false, 0)
 	if oe != nil {
 		httpError(w, oe)
 		return
@@ -738,7 +705,7 @@ func (n *Node) handlePut(w http.ResponseWriter, req *http.Request) {
 // replication-borne tombstone is exactly what keeps a stale replica from
 // resurrecting the key later.
 func (n *Node) handleDelete(w http.ResponseWriter, req *http.Request) {
-	pr, oe := n.routeWriteOp(req.PathValue("key"), "", true, forwardedEpoch(req))
+	pr, oe := n.routeWriteOp(req.PathValue("key"), "", true, 0)
 	if oe != nil {
 		httpError(w, oe)
 		return
@@ -747,15 +714,24 @@ func (n *Node) handleDelete(w http.ResponseWriter, req *http.Request) {
 }
 
 // routeWriteOp is the shared PUT/DELETE routing path (see handlePut's doc
-// comment for the coordinator-election rules), factored out of the HTTP
-// handlers so the binary client front end (clientproto.go) drives the
-// identical code: both enter here and leave with a typed response or a
-// typed failure. fwdEpoch is the ring epoch a proxied write was routed
-// under (0 when the write was not forwarded).
+// comment for the coordinator-election rules): the HTTP handlers, the
+// binary client front end (clientproto.go) and forwarded writes (opForward)
+// all enter here and leave with a typed response or a typed failure.
+// fwdEpoch is the ring epoch a forwarded write was routed under (0 when
+// the write was not forwarded).
 func (n *Node) routeWriteOp(key, value string, tombstone bool, fwdEpoch uint64) (PutResponse, *opError) {
 	v := n.view()
 	if v == nil {
 		return PutResponse{}, errUnavailable("server: node has no membership yet")
+	}
+	// A forwarded write answers within half the forwarder's rpcTimeout, so
+	// a quorum stuck on a paused replica never times out the mux
+	// connection the forwarder's data legs share.
+	var limit <-chan time.Time
+	if fwdEpoch != 0 {
+		t := time.NewTimer(rpcTimeout / 2)
+		defer t.Stop()
+		limit = t.C
 	}
 	if fwdEpoch > v.m.Epoch() {
 		// Forwarded under a ring this node has not installed yet: a
@@ -766,18 +742,27 @@ func (n *Node) routeWriteOp(key, value string, tombstone bool, fwdEpoch uint64) 
 	}
 	primary := v.m.Coordinator(key)
 	if primary == n.id {
-		return n.coordinatePutOp(v, key, value, tombstone, false)
+		return n.coordinatePutOp(v, key, value, tombstone, false, limit)
 	}
 	if !n.params.SloppyQuorum {
 		// A write forwarded under an older ring than ours was routed by a
-		// node that has not seen a ring flip this one has: proxy it on to
+		// node that has not seen a ring flip this one has: forward it on to
 		// the primary of the newer ring. Each hop carries a strictly newer
 		// epoch, so the chain ends; a write forwarded under our epoch or a
 		// newer one is a genuine ownership disagreement.
 		if fwdEpoch >= v.m.Epoch() {
 			return PutResponse{}, errInternal("server: forwarding loop: not the primary coordinator")
 		}
-		return n.forwardPutOp(v, primary, key, value, tombstone)
+		pr, err := v.peers[primary].Forward(v.m.Epoch(), key, value, tombstone)
+		var ce *ClientError
+		switch {
+		case err == nil:
+			return pr, nil
+		case errors.As(err, &ce):
+			return PutResponse{}, relayedVerdict(ce)
+		default:
+			return PutResponse{}, errUnavailable("server: forward to primary: " + err.Error())
+		}
 	}
 	if fwdEpoch != 0 {
 		// The forwarder decided we are the first live preference replica.
@@ -786,30 +771,37 @@ func (n *Node) routeWriteOp(key, value string, tombstone bool, fwdEpoch uint64) 
 		if !n.onPreferenceList(v, key) {
 			return PutResponse{}, errInternal("server: forwarded to a non-replica coordinator")
 		}
-		return n.coordinatePutOp(v, key, value, tombstone, true)
+		return n.coordinatePutOp(v, key, value, tombstone, true, limit)
 	}
 	// Sloppy routing: hand the write to the first live preference replica,
 	// falling through the list as candidates fail — ourselves included.
 	sawQuorumFail := false
 	for _, cand := range n.prefs(v, key) {
 		if cand == n.id {
-			return n.coordinatePutOp(v, key, value, tombstone, true)
+			return n.coordinatePutOp(v, key, value, tombstone, true, nil)
 		}
 		if !n.alive(v, cand) {
 			continue
 		}
-		pr, oe, outcome := n.tryForwardOp(v, cand, key, value, tombstone)
-		switch outcome {
-		case forwardRelayed:
-			return pr, oe
-		case forwardUnreachable:
-			n.live.markDead(cand)
-		case forwardFailed:
-			// The candidate is alive — it coordinated (or proxied) and
-			// genuinely failed; it is not dead and already counted the
-			// failure. Still try the remaining candidates: a different
-			// coordinator may reach a quorum this one could not.
+		pr, err := v.peers[cand].Forward(v.m.Epoch(), key, value, tombstone)
+		var ce *ClientError
+		switch {
+		case err == nil:
+			return pr, nil
+		case !errors.As(err, &ce):
+			// A fault-layer or transport error: the candidate is
+			// unreachable. A dropped RPC leaves it degraded, not dead.
+			if deadError(err) {
+				n.live.markDead(cand)
+			}
+		case ce.Code == CodeQuorumFailed:
+			// The candidate is alive — it coordinated and genuinely
+			// failed; it is not dead and already counted the failure.
+			// Still try the remaining candidates: a different coordinator
+			// may reach a quorum this one could not.
 			sawQuorumFail = true
+		default:
+			return PutResponse{}, relayedVerdict(ce)
 		}
 	}
 	if sawQuorumFail {
@@ -826,6 +818,22 @@ func (n *Node) routeWriteOp(key, value string, tombstone bool, fwdEpoch uint64) 
 	return PutResponse{}, errUnavailable("server: no live coordinator for key")
 }
 
+// relayedVerdict rebuilds a remote coordinator's typed verdict as the
+// opError its own front end wrote, so both front ends relay it with the
+// same HTTP status and code.
+func relayedVerdict(ce *ClientError) *opError {
+	switch ce.Code {
+	case CodeBadRequest:
+		return errBadRequest(ce.Msg)
+	case CodeUnavailable:
+		return errUnavailable(ce.Msg)
+	case CodeQuorumFailed:
+		return errQuorumFailed(ce.Msg)
+	default:
+		return errInternal(ce.Msg)
+	}
+}
+
 // onPreferenceList reports whether this node replicates key under view v.
 func (n *Node) onPreferenceList(v *memView, key string) bool {
 	for _, id := range n.prefs(v, key) {
@@ -840,9 +848,10 @@ func (n *Node) onPreferenceList(v *memView, key string) bool {
 // version, fan it out as one worker leg per preference replica (fanout.go;
 // each leg draws its W/A delays when a model is injected, and redirects to
 // a hinted spare in sloppy mode when its replica is unreachable), answer at
-// the W-th acknowledgment. The whole operation runs under
-// the membership view loaded at admission.
-func (n *Node) coordinatePutOp(v *memView, key, value string, tombstone, takeover bool) (PutResponse, *opError) {
+// the W-th acknowledgment — or with a quorum failure once limit fires (nil
+// waits for the verdict). The whole operation runs under the membership
+// view loaded at admission.
+func (n *Node) coordinatePutOp(v *memView, key, value string, tombstone, takeover bool, limit <-chan time.Time) (PutResponse, *opError) {
 	n.coordWrites.Add(1)
 	if takeover {
 		n.failoverWrites.Add(1)
@@ -873,7 +882,7 @@ func (n *Node) coordinatePutOp(v *memView, key, value string, tombstone, takeove
 		t.ver, t.spares, t.ws = ver, spares, ws
 		n.submitLeg(t)
 	}
-	return n.awaitWrite(ws, seq, start)
+	return n.awaitWrite(ws, seq, start, limit)
 }
 
 // sparePicker hands out each spare node (ring order beyond the preference
@@ -990,98 +999,6 @@ func (n *Node) writeSpare(v *memView, target int, ver kvstore.Version, spares *s
 		n.handoff.store(target, ver)
 	}
 	return false
-}
-
-// forwardPutOp proxies a write to the key's primary coordinator
-// (strict-quorum routing) and relays its verdict in typed form.
-func (n *Node) forwardPutOp(v *memView, primary int, key, value string, tombstone bool) (PutResponse, *opError) {
-	url := v.httpAddr(primary) + "/kv/" + neturl.PathEscape(key)
-	freq, err := http.NewRequest(writeMethod(tombstone), url, strings.NewReader(value))
-	if err != nil {
-		return PutResponse{}, errInternal(err.Error())
-	}
-	freq.Header.Set(forwardedHeader, strconv.FormatUint(v.m.Epoch(), 10))
-	resp, err := n.proxyClient.Do(freq)
-	if err != nil {
-		return PutResponse{}, &opError{status: http.StatusBadGateway, code: CodeUnavailable,
-			msg: "server: forward to primary: " + err.Error()}
-	}
-	return decodeForwarded(resp)
-}
-
-// decodeForwarded turns a proxied coordinator response back into typed
-// form: 200 bodies decode as PutResponse, anything else relays the proxied
-// status and message, so the client-visible verdict (and its retryability)
-// is exactly what the remote coordinator decided.
-func decodeForwarded(resp *http.Response) (PutResponse, *opError) {
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		msg := strings.TrimSpace(string(raw))
-		return PutResponse{}, &opError{status: resp.StatusCode, code: codeForStatus(resp.StatusCode, msg), msg: msg}
-	}
-	var pr PutResponse
-	if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-		return PutResponse{}, &opError{status: http.StatusBadGateway, code: CodeUnavailable,
-			msg: "server: decode forwarded response: " + err.Error()}
-	}
-	return pr, nil
-}
-
-// writeMethod maps a write's tombstone flag back to its HTTP verb, so
-// proxied deletes stay deletes across forwarding hops.
-func writeMethod(tombstone bool) string {
-	if tombstone {
-		return http.MethodDelete
-	}
-	return http.MethodPut
-}
-
-// forwardOutcome classifies one sloppy-routing forward attempt.
-type forwardOutcome int
-
-const (
-	// forwardRelayed: the candidate answered and its response was relayed.
-	forwardRelayed forwardOutcome = iota
-	// forwardUnreachable: connection error or a "replica down" 503 — the
-	// candidate is dead and should be marked so.
-	forwardUnreachable
-	// forwardFailed: the candidate is alive but answered 502/503 (its own
-	// quorum failed, or a proxy hop did) — not a death signal.
-	forwardFailed
-)
-
-// tryForwardOp proxies a write to candidate coordinator cand
-// (sloppy-quorum routing). Failures (connection error, 502/503) are NOT
-// relayed: the caller moves to the next candidate instead of surfacing a
-// failure the cluster can absorb. The outcome distinguishes a dead
-// candidate from a live one that couldn't commit, so only the former is
-// marked dead in the liveness cache; the response/error pair is meaningful
-// only on forwardRelayed.
-func (n *Node) tryForwardOp(v *memView, cand int, key, value string, tombstone bool) (PutResponse, *opError, forwardOutcome) {
-	url := v.httpAddr(cand) + "/kv/" + neturl.PathEscape(key)
-	freq, err := http.NewRequest(writeMethod(tombstone), url, strings.NewReader(value))
-	if err != nil {
-		return PutResponse{}, errInternal(err.Error()), forwardRelayed
-	}
-	freq.Header.Set(forwardedHeader, strconv.FormatUint(v.m.Epoch(), 10))
-	resp, err := n.proxyClient.Do(freq)
-	if err != nil {
-		return PutResponse{}, nil, forwardUnreachable
-	}
-	if resp.StatusCode == http.StatusBadGateway || resp.StatusCode == http.StatusServiceUnavailable {
-		// A crashed node's whole HTTP surface answers 503 "replica down";
-		// a live coordinator that failed its quorum answers 503 too. Only
-		// the former means the candidate should be considered dead.
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		resp.Body.Close()
-		if bytes.Contains(msg, []byte(ErrReplicaDown.Error())) {
-			return PutResponse{}, nil, forwardUnreachable
-		}
-		return PutResponse{}, nil, forwardFailed
-	}
-	pr, oe := decodeForwarded(resp)
-	return pr, oe, forwardRelayed
 }
 
 // readResp is one replica's answer during a coordinated read.

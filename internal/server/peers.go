@@ -3,11 +3,11 @@ package server
 // The Peer seam between coordinator logic (node.go) and the wire transport
 // (transport.go). Coordinators never talk to a *peer (the TCP RPC client)
 // directly: every internal RPC — write fan-out, replica reads, read repair,
-// hinted-handoff replay, anti-entropy exchange — goes through a Peer, and
-// StartLocal interposes a fault layer (faults.go) between the coordinator
-// and the transport. The fault-free path adds one interface dispatch and a
-// nil check per RPC, preserving the WARS measurement semantics the
-// conformance suite pins.
+// hinted-handoff replay, anti-entropy exchange, write forwarding — goes
+// through a Peer, and StartLocal interposes a fault layer (faults.go)
+// between the coordinator and the transport. The fault-free path adds one
+// interface dispatch and a nil check per RPC, preserving the WARS
+// measurement semantics the conformance suite pins.
 
 import "pbs/internal/kvstore"
 
@@ -54,6 +54,11 @@ type Peer interface {
 	// ConfigRPC carries one ring-config consensus message (internal/configlog
 	// wire format) to the peer's acceptor and returns its reply.
 	ConfigRPC(payload []byte) ([]byte, error)
+	// Forward hands one client write to the peer to route as its
+	// coordinator (routeWriteOp), tagged with the ring epoch the forwarder
+	// routed under. The peer's coordination verdict returns as a
+	// *ClientError; any other error means no coordinator answered.
+	Forward(epoch uint64, key, value string, tombstone bool) (PutResponse, error)
 }
 
 // faultPeer interposes a cluster-wide fault controller on the path from one
@@ -149,4 +154,13 @@ func (fp *faultPeer) ConfigRPC(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	return fp.next.ConfigRPC(payload)
+}
+
+// Forward is data-plane traffic like Apply: a crash, partition, pause, drop
+// or delay toward the coordinator applies to the forwarded write.
+func (fp *faultPeer) Forward(epoch uint64, key, value string, tombstone bool) (PutResponse, error) {
+	if err := fp.f.allow(fp.from, fp.to); err != nil {
+		return PutResponse{}, err
+	}
+	return fp.next.Forward(epoch, key, value, tombstone)
 }

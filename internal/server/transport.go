@@ -19,8 +19,10 @@ package server
 // connection upgrades from v1 with an opMuxHello frame. Data-plane ops
 // (Apply, ApplyHinted, GetVersion, Ping) default to v2; control-plane ops
 // (membership, gossip, consensus, anti-entropy, range streaming) are not
-// hot and stay on the v1 pool, as does everything when
-// Params.BlockingTransport pins the pre-multiplexing baseline.
+// hot and stay on the v1 pool, as does the data plane when
+// Params.BlockingTransport pins the pre-multiplexing baseline. Forward — a
+// write a non-coordinator hands to the key's coordinator — always rides
+// v2, so it runs on the receiver's mux worker pool.
 
 import (
 	"bufio"
@@ -64,6 +66,11 @@ const (
 	// list for opGetBatch — answered per entry, index-aligned.
 	opApplyBatch byte = 22
 	opGetBatch   byte = 23
+	// opForward hands one write to the key's coordinator (Section 4.2's
+	// proxying): epoch u64 | flags u8 | key string16 | value string32, the
+	// epoch being the ring the forwarder routed under. The answer reuses
+	// the client put codecs (statusClientOK / typed statusClientErr).
+	opForward byte = 24
 
 	statusOK  byte = 0
 	statusErr byte = 1
@@ -431,6 +438,14 @@ func (n *Node) handleRPCBuf(op byte, payload, buf []byte) (status byte, resp []b
 			out = encodeVersion(out, v)
 		}
 		return statusOK, out
+	case opForward:
+		// Runs on the mux worker pool (serveMux never inlines it): the
+		// write blocks on a quorum.
+		fwdEpoch := d.u64()
+		tombstone := d.u8()&batchFlagTombstone != 0
+		key := d.string16()
+		value := d.string32()
+		return n.answerWrite(buf, d, key, value, tombstone, fwdEpoch)
 	case opTree:
 		depth := int(d.u8())
 		if d.err != nil {
@@ -533,7 +548,8 @@ type peerConn struct {
 // peer is the RPC client for one replica's internal endpoint. Data-plane
 // ops (Apply, ApplyHinted, GetVersion, Ping) ride a small fixed set of
 // multiplexed v2 connections (mux.go) unless blocking pins them to the v1
-// pool; control-plane ops always use the v1 pool.
+// pool; Forward always rides v2, and control-plane ops always use the v1
+// pool.
 type peer struct {
 	addr     string
 	blocking bool
@@ -905,6 +921,37 @@ func (p *peer) GetVersionBatch(keys []string) ([]kvstore.Version, []bool, error)
 		return nil, nil, derr
 	}
 	return vs, found, nil
+}
+
+// appendForward encodes an opForward request.
+func appendForward(b []byte, epoch uint64, key, value string, tombstone bool) []byte {
+	b = binary.BigEndian.AppendUint64(b, epoch)
+	var flags byte
+	if tombstone {
+		flags = batchFlagTombstone
+	}
+	return appendString32(appendString16(append(b, flags), key), value)
+}
+
+// Forward hands one write to the peer to route as its coordinator. Unlike
+// muxRPC it does not retry on a fresh connection: a write is not
+// idempotent, and the caller routes around a failed forward anyway.
+func (p *peer) Forward(epoch uint64, key, value string, tombstone bool) (PutResponse, error) {
+	mc, err := p.muxConnFor()
+	if err != nil {
+		return PutResponse{}, err
+	}
+	req := appendForward(getBuf(15 + len(key) + len(value))[:0], epoch, key, value, tombstone)
+	status, resp, err := mc.call(opForward, req)
+	if err != nil {
+		return PutResponse{}, err
+	}
+	defer putBuf(resp)
+	_, body, err := decodeClientFrame(status, resp)
+	if err != nil {
+		return PutResponse{}, err
+	}
+	return decodeClientPutBody(body)
 }
 
 // MerkleNodes fetches the peer's Merkle content summary at the given

@@ -89,17 +89,20 @@ type Metrics struct {
 type Engine struct {
 	opts Options
 
-	mu        sync.Mutex
-	wal       *wal
-	mem       *memtable
-	frozen    *memtable // being flushed; immutable
-	frozenWAL []string  // rotated-out WAL segments, deletable after a successful flush
-	tables    []*sstable
-	gen       uint64  // last allocated file generation
-	lastNow   float64 // most recent Apply timestamp (drives tombstone GC age)
-	flushing  bool
+	mu         sync.Mutex
+	wal        *wal
+	mem        *memtable
+	frozen     *memtable // being flushed; immutable
+	frozenWAL  []string  // rotated-out WAL segments, deletable after a successful flush
+	tables     []*sstable
+	gen        uint64  // last allocated file generation
+	lastNow    float64 // most recent Apply timestamp (drives tombstone GC age)
+	flushing   bool
 	compacting bool
 	closed     bool
+	// bg counts running flushes and compactions; Close waits for them, so
+	// none rewrites or deletes files under an engine reopened on the dir.
+	bg sync.WaitGroup
 
 	applied, ignored, overread int64
 	recovered                  int64
@@ -335,8 +338,9 @@ func (e *Engine) Metrics() Metrics {
 	}
 }
 
-// Close flushes the WAL (memtable contents replay from it on next open)
-// and releases file handles. The engine rejects writes afterwards.
+// Close waits for a running flush or compaction, flushes the WAL (memtable
+// contents replay from it on next open) and releases file handles. The
+// engine rejects writes afterwards.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -344,6 +348,9 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
+	e.mu.Unlock()
+	e.bg.Wait()
+	e.mu.Lock()
 	tables := e.tables
 	wal := e.wal
 	e.mu.Unlock()
